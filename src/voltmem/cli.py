@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import io
-import json
 import sys
 from dataclasses import replace
 
@@ -182,9 +181,13 @@ def _heatmaps(grid, v1_axis, v2_axis) -> str:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
+    except OSError as e:
+        raise ConfigError(
+            f"cannot write output file {out_path}: {e.strerror}") from e
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,29 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config is not None:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-            if not isinstance(raw, dict):
-                raise ConfigError("config document must be a JSON object")
-        else:
-            raw = {}
-    except FileNotFoundError:
-        print(f"config file not found: {args.config}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as e:
-        print(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}",
-              file=sys.stderr)
-        return 2
-
-    raw["verb"] = args.verb
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.out is not None:
-        raw["out"] = args.out
-
-    try:
-        cfg = cfgmod.load_config_dict(raw)
+        cfg = cfgmod.read_config(args.config, verb=args.verb, seed=args.seed,
+                                 out=args.out)
         if cfg.verb == "iv":
             _emit(run_iv_sweep(cfg), cfg.out)
         elif cfg.verb == "transient":
@@ -239,7 +221,7 @@ def main(argv=None) -> int:
         elif cfg.verb == "gate":
             _emit(run_gate_verb(cfg), cfg.out)
         else:
-            csv_text, heatmap = run_map_verb(cfg, jobs=getattr(args, "jobs", 1))
+            csv_text, heatmap = run_map_verb(cfg, jobs=args.jobs)
             _emit(csv_text, cfg.out)
             sys.stdout.write(heatmap)
     except ConfigError as e:

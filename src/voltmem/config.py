@@ -1,18 +1,24 @@
 """Run configuration: a JSON document with per-verb blocks.
 
 Top-level keys: verb, seed, out, emulator, device, circuit, source, digitize,
-sweep. Unknown keys anywhere are rejected; defaults are filled in so a loaded
-config is fully resolved and can be echoed verbatim in the run header.
+sweep. The emulator and device blocks take the fields of EmulatorParams and
+DeviceParams; SCHEMA is the reference for every other key and drives parsing,
+defaults, bounds and serialisation. Unknown keys are rejected; defaults are
+filled in so a loaded config is fully resolved and can be echoed verbatim in
+the run header.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+import sys
+from dataclasses import asdict, astuple, dataclass, fields, replace
+from typing import Callable, NamedTuple
 
-from .device import (DEFAULT_T_ACTUATE, DeviceParams, EmulatorParams,
-                     derive_device_params)
+from .device import DeviceParams, EmulatorParams, derive_device_params
 from .circuit import SourceWaveform
+from .logic import LogicCircuit
 
 VERBS = ("iv", "transient", "osc-check", "gate", "map")
 
@@ -28,20 +34,17 @@ class RunConfig:
     out: str | None
     emulator: EmulatorParams
     device: DeviceParams
-    # transient / osc-check
     r1: float | None = None
     dt: float | None = None
     t_end: float | None = None
     source: SourceWaveform | None = None
     digitize: tuple[float, float, float] | None = None  # threshold, high, low
-    # gate / map
     r_common: float | None = None
     v0: float | None = None
     v1: float | None = None
     v2: float | None = None
     v3: float | None = None
     duration: float | None = None
-    # sweeps
     iv_amplitude: float | None = None
     iv_points: int | None = None
     v1_axis: tuple[float, float, float] | None = None  # min, max, step
@@ -50,27 +53,152 @@ class RunConfig:
     sweep_values: tuple[float, ...] | None = None
 
 
+def _want(ok: bool, val, where: str, what: str):
+    if not ok:
+        raise ConfigError(f"{where} must be {what}, got {val!r}")
+    return val
+
+
+def _finite(val, where, kinds=(int, float), what="a finite number"):
+    """The one numeric check: never a bool, NaN or infinite; kept as given."""
+    return _want(isinstance(val, kinds) and not isinstance(val, bool)
+                 and abs(val) <= sys.float_info.max, val, where, what)
+
+
+def _real(val, where):
+    return float(_finite(val, where))
+
+
+def _integer(val, where):
+    return _finite(val, where, int, "an integer")
+
+
+def _text(val, where):
+    return _want(val is None or isinstance(val, str), val, where, "a string")
+
+
+def _reals(val, where, what="a nonempty list", sizes=range(1, sys.maxsize)):
+    _want(isinstance(val, list) and len(val) in sizes, val, where, what)
+    return tuple(_real(x, where) for x in val)
+
+
+def _steps(val, where):
+    _want(isinstance(val, list), val, where, "a list")
+    return tuple(_reals(p, where, "a [time, value] pair", (2,)) for p in val)
+
+
+def _axis(val, where):
+    lo, hi, step = _reals(val, where, "[min, max, step]", (3,))
+    n = (hi - lo) / step if step > 0 and hi >= lo else math.nan
+    _want(math.isfinite(n) and abs(n - round(n)) <= 1e-9 * max(1.0, n), val,
+          where, "[min, max, step] with step > 0 and (max - min) / step whole")
+    return lo, hi, step
+
+
+REQUIRED = object()
+
+
+class Key(NamedTuple):
+    """One config key: its block ("" is the top level), name, the verbs that
+    take it, parser, default, an optional bound (">" or ">=" a limit, or "in"
+    a collection) and the RunConfig field it fills ("" if named like the key)."""
+
+    block: str
+    name: str
+    verbs: tuple[str, ...]
+    parse: Callable
+    default: object = REQUIRED
+    bound: tuple[str, object] | None = None
+    field: str = ""
+
+    def value(self, val, where=""):
+        where = where or ".".join(filter(None, (self.block, self.name)))
+        val = self.parse(val, where)
+        if self.bound:
+            op, limit = self.bound
+            _want(val in limit if op == "in" else val > limit if op == ">"
+                  else val >= limit, val, where, f"{op} {limit}")
+        return val
+
+
+_TR, _OSC, _GM = ("transient",), ("osc-check",), ("gate", "map")
+
+SCHEMA = (
+    Key("", "seed", VERBS, _integer, 0, (">=", 0)),
+    Key("", "out", VERBS, _text, None),
+    Key("circuit", "r1", _TR + _OSC, _real, 680.0, (">=", 0)),
+    Key("circuit", "dt", _TR, _real, 1e-4, (">", 0)),
+    Key("circuit", "t_end", _TR, _real, 0.05, (">", 0)),
+    # r_common and v0 are bounded by LogicCircuit, built at load
+    Key("circuit", "r_common", _GM, _real, 220.0),
+    Key("circuit", "v0", _GM, _real, 1.9),
+    Key("circuit", "v1", ("gate",), _real),
+    Key("circuit", "v2", ("gate",), _real),
+    Key("circuit", "v3", ("gate",), _real),
+    Key("circuit", "duration", _GM, _real, 10e-3, (">", 0)),
+    # SourceWaveform fields in order; the waveform checks its own values
+    Key("source", "kind", _TR, _text, "constant"),
+    Key("source", "amplitude", _TR, _real, 0.0),
+    Key("source", "offset", _TR, _real, 0.0),
+    Key("source", "period", _TR, _real, 0.0),
+    Key("source", "steps", _TR, _steps, ()),
+    Key("digitize", "threshold", _TR, _real, 2.5),
+    Key("digitize", "high", _TR, _real, 5.0),
+    Key("digitize", "low", _TR, _real, 0.0),
+    Key("sweep", "amplitude", ("iv",), _real, 4.0, field="iv_amplitude"),
+    Key("sweep", "points", ("iv",), _integer, 2001, (">=", 3), "iv_points"),
+    # an osc-check sweep is optional, but param and values go together
+    Key("sweep", "param", _OSC, _text, None, ("in", ("r1", "r_int")),
+        "sweep_param"),
+    Key("sweep", "values", _OSC, _reals, None, field="sweep_values"),
+    Key("sweep", "v1", ("map",), _axis, (-1.0, 6.0, 0.1), field="v1_axis"),
+    Key("sweep", "v2", ("map",), _axis, (-1.0, 6.0, 0.1), field="v2_axis"),
+    Key("sweep", "v3", ("map",), _real, -1.9),
+)
+
+# Each block, and for a block whose keys (in SCHEMA order) build one RunConfig
+# field: (build from the values, back to the values, field if block absent)
+_BLOCKS = {
+    "": None, "circuit": None, "sweep": None,
+    "source": (SourceWaveform, astuple,
+               SourceWaveform(kind="sawtooth", amplitude=8.0, period=0.05)),
+    "digitize": (lambda *values: values, tuple, None),
+}
+# top-level keys besides those in SCHEMA
+_TOP = ["verb", "emulator", "device", *filter(None, _BLOCKS)]
+
+
+def _keys(verb: str, block: str) -> list[Key]:
+    return [k for k in SCHEMA if k.block == block and verb in k.verbs]
+
+
 def _check_keys(block: dict, allowed, where: str) -> None:
     unknown = sorted(set(block) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
 
 
-def _number(block, key, default, where):
-    val = block.get(key, default)
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"{where}.{key} must be a number, got {val!r}")
-    return float(val)
+def _block(raw: dict, name: str) -> dict:
+    """The named block of `raw`; an absent or null block is empty."""
+    block = {} if raw.get(name) is None else raw[name]
+    return _want(isinstance(block, dict), block, name, "an object")
 
 
-def _parse_axis(raw, key):
-    if (not isinstance(raw, (list, tuple)) or len(raw) != 3
-            or not all(isinstance(x, (int, float)) for x in raw)):
-        raise ConfigError(f"sweep.{key} must be [min, max, step]")
-    lo, hi, step = map(float, raw)
-    if step <= 0 or hi < lo:
-        raise ConfigError(f"sweep.{key}: need min <= max and step > 0")
-    return lo, hi, step
+def _build(where: str, make, *args, **kwargs):
+    """Construct a model object; its ValueError becomes a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
+def _params(raw: dict, name: str, base):
+    """An emulator or device block: fields of `base`, values kept as given."""
+    block = _block(raw, name)
+    _check_keys(block, [f.name for f in fields(base)], name)
+    for key, val in block.items():
+        _finite(val, f"{name}.{key}")
+    return _build(name, replace, base, **block)
 
 
 def axis_points(spec: tuple[float, float, float]):
@@ -80,210 +208,96 @@ def axis_points(spec: tuple[float, float, float]):
     return [lo + step * k for k in range(n)]
 
 
-def load_config(document: str) -> RunConfig:
+def _parse(document: str) -> dict:
     try:
         raw = json.loads(document)
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    return _want(isinstance(raw, dict), raw, "config document", "a JSON object")
+
+
+def load_config(document: str) -> RunConfig:
+    return load_config_dict(_parse(document))
+
+
+def read_config(path: str | None, **overrides) -> RunConfig:
+    """Load a config file (None: {}); non-None overrides replace its keys."""
+    raw = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                raw = _parse(fh.read())
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read config file {path}: {e}") from e
+    raw.update((k, v) for k, v in overrides.items() if v is not None)
     return load_config_dict(raw)
 
 
 def load_config_dict(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config document must be a JSON object")
-    _check_keys(raw, ("verb", "seed", "out", "emulator", "device", "circuit",
-                      "source", "digitize", "sweep"), "config")
+    _want(isinstance(raw, dict), raw, "config document", "a JSON object")
+    verb = _want(raw.get("verb") in VERBS, raw.get("verb"), "verb",
+                 f"one of {VERBS}")
+    emulator = _params(raw, "emulator", EmulatorParams())
+    device = _params(raw, "device",
+                     _build("device", derive_device_params, emulator))
 
-    verb = raw.get("verb")
-    if verb not in VERBS:
-        raise ConfigError(f"verb must be one of {VERBS}, got {verb!r}")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("out must be a string path")
+    resolved = {}
+    for name, composite in _BLOCKS.items():
+        keys = _keys(verb, name)
+        given = _block(raw, name) if name else raw
+        _check_keys(given, [k.name for k in keys] + ([] if name else _TOP),
+                    f"{name or 'config'} of verb {verb!r}")
+        missing = [k.name for k in keys
+                   if k.default is REQUIRED and k.name not in given]
+        if missing:
+            raise ConfigError(f"verb {verb!r} requires {name} key(s) "
+                              f"{', '.join(missing)}")
+        values = {k.field or k.name: k.value(given[k.name]) if k.name in given
+                  else k.default for k in keys}
+        if composite is None:
+            resolved.update(values)
+        elif keys:
+            build, _, absent = composite
+            resolved[name] = (absent if raw.get(name) is None
+                              else _build(name, build, *values.values()))
+    cfg = RunConfig(verb=verb, emulator=emulator, device=device, **resolved)
 
-    emu_block = raw.get("emulator", {})
-    _check_keys(emu_block, ("r_coil", "r_int", "l_coil", "v_pull_in",
-                            "v_drop_out"), "emulator")
-    try:
-        emulator = replace(EmulatorParams(), **emu_block)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"emulator: {e}") from e
-
-    dev_block = raw.get("device", {})
-    _check_keys(dev_block, ("r_on", "r_off", "v_th_pos", "v_hold_pos",
-                            "v_th_neg", "v_hold_neg", "t_actuate",
-                            "jitter_sigma"), "device")
-    try:
-        device = replace(derive_device_params(emulator), **dev_block)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"device: {e}") from e
-
-    cfg = RunConfig(verb=verb, seed=seed, out=out, emulator=emulator,
-                    device=device)
-
-    circuit = raw.get("circuit", {})
-    source = raw.get("source")
-    digit = raw.get("digitize")
-    sweep = raw.get("sweep", {})
-    if not isinstance(circuit, dict):
-        raise ConfigError("circuit block must be an object")
-    if not isinstance(sweep, dict):
-        raise ConfigError("sweep block must be an object")
-
-    if verb == "iv":
-        if circuit:
-            raise ConfigError("verb 'iv' takes no circuit block")
-        if source or digit:
-            raise ConfigError("verb 'iv' takes no source/digitize blocks")
-        _check_keys(sweep, ("amplitude", "points"), "sweep")
-        amplitude = _number(sweep, "amplitude", 4.0, "sweep")
-        points = sweep.get("points", 2001)
-        if not isinstance(points, int) or points < 3:
-            raise ConfigError("sweep.points must be an integer >= 3")
-        return replace(cfg, iv_amplitude=amplitude, iv_points=points)
-
+    # checks across keys that no model constructor makes
     if verb == "transient":
-        if sweep:
-            raise ConfigError("verb 'transient' takes no sweep block")
-        _check_keys(circuit, ("r1", "dt", "t_end"), "circuit")
-        r1 = _number(circuit, "r1", 680.0, "circuit")
-        dt = _number(circuit, "dt", 1e-4, "circuit")
-        t_end = _number(circuit, "t_end", 0.05, "circuit")
-        src = _parse_source(source)
-        dg = _parse_digitize(digit)
-        return replace(cfg, r1=r1, dt=dt, t_end=t_end, source=src, digitize=dg)
-
-    if verb == "osc-check":
-        if source or digit:
-            raise ConfigError("verb 'osc-check' takes no source/digitize blocks")
-        _check_keys(circuit, ("r1",), "circuit")
-        r1 = _number(circuit, "r1", 680.0, "circuit")
-        param = None
-        values = None
-        if sweep:
-            _check_keys(sweep, ("param", "values"), "sweep")
-            param = sweep.get("param")
-            if param not in ("r1", "r_int"):
-                raise ConfigError("sweep.param must be 'r1' or 'r_int'")
-            values = sweep.get("values")
-            if (not isinstance(values, list) or not values
-                    or not all(isinstance(x, (int, float)) for x in values)):
-                raise ConfigError("sweep.values must be a nonempty number list")
-            values = tuple(float(x) for x in values)
-        return replace(cfg, r1=r1, sweep_param=param, sweep_values=values)
-
-    if verb == "gate":
-        if source or digit or sweep:
-            raise ConfigError("verb 'gate' takes only a circuit block")
-        _check_keys(circuit, ("r_common", "v0", "v1", "v2", "v3", "duration"),
-                    "circuit")
-        for key in ("v1", "v2", "v3"):
-            if key not in circuit:
-                raise ConfigError(
-                    "verb 'gate' requires a circuit block with v1, v2, v3")
-        return replace(
-            cfg,
-            r_common=_number(circuit, "r_common", 220.0, "circuit"),
-            v0=_number(circuit, "v0", 1.9, "circuit"),
-            v1=_number(circuit, "v1", None, "circuit"),
-            v2=_number(circuit, "v2", None, "circuit"),
-            v3=_number(circuit, "v3", None, "circuit"),
-            duration=_number(circuit, "duration", 10e-3, "circuit"),
-        )
-
-    # verb == "map"
-    if source or digit:
-        raise ConfigError("verb 'map' takes no source/digitize blocks")
-    _check_keys(circuit, ("r_common", "v0", "duration"), "circuit")
-    _check_keys(sweep, ("v1", "v2", "v3"), "sweep")
-    v1_axis = _parse_axis(sweep.get("v1", [-1.0, 6.0, 0.1]), "v1")
-    v2_axis = _parse_axis(sweep.get("v2", [-1.0, 6.0, 0.1]), "v2")
-    return replace(
-        cfg,
-        r_common=_number(circuit, "r_common", 220.0, "circuit"),
-        v0=_number(circuit, "v0", 1.9, "circuit"),
-        duration=_number(circuit, "duration", 10e-3, "circuit"),
-        v1_axis=v1_axis, v2_axis=v2_axis,
-        v3=_number(sweep, "v3", -1.9, "sweep"),
-    )
-
-
-def _parse_source(block) -> SourceWaveform:
-    # default spans the oscillation onset of the reference circuit
-    if block is None:
-        return SourceWaveform(kind="sawtooth", amplitude=8.0, offset=0.0,
-                              period=0.05)
-    _check_keys(block, ("kind", "amplitude", "offset", "period", "steps"),
-                "source")
-    kind = block.get("kind", "constant")
-    steps = block.get("steps", [])
-    if not isinstance(steps, list) or not all(
-            isinstance(s, (list, tuple)) and len(s) == 2 for s in steps):
-        raise ConfigError("source.steps must be a list of [time, value] pairs")
-    try:
-        return SourceWaveform(
-            kind=kind,
-            amplitude=_number(block, "amplitude", 0.0, "source"),
-            offset=_number(block, "offset", 0.0, "source"),
-            period=_number(block, "period", 0.0, "source"),
-            steps=tuple((float(t), float(v)) for t, v in steps),
-        )
-    except ValueError as e:
-        raise ConfigError(f"source: {e}") from e
-
-
-def _parse_digitize(block):
-    if block is None:
-        return None
-    _check_keys(block, ("threshold", "high", "low"), "digitize")
-    return (_number(block, "threshold", 2.5, "digitize"),
-            _number(block, "high", 5.0, "digitize"),
-            _number(block, "low", 0.0, "digitize"))
+        _want(cfg.dt <= cfg.t_end, cfg.dt, "circuit.dt", f"<= t_end={cfg.t_end}")
+    if verb in _GM:
+        _build("circuit (r_common, v0)", LogicCircuit, m1=device, m2=device,
+               r_common=cfg.r_common, v_hold_level=cfg.v0)
+        _want(cfg.duration >= 10.0 * device.t_actuate, cfg.duration,
+              "circuit.duration", f">= 10 * device.t_actuate={device.t_actuate}")
+    _want((cfg.sweep_param is None) == (cfg.sweep_values is None),
+          cfg.sweep_param, "sweep.param", "given together with sweep.values")
+    # each swept value must pass the check of the key it stands in for
+    for val in cfg.sweep_values or ():
+        if cfg.sweep_param == "r1":
+            r1 = next(k for k in _keys(verb, "circuit") if k.name == "r1")
+            r1.value(val, "sweep.values")
+        else:
+            _build("sweep.values", lambda: derive_device_params(
+                replace(emulator, r_int=val)))
+    return cfg
 
 
 def serialize(cfg: RunConfig) -> str:
     """Resolved config back to its JSON document form (load round-trips)."""
-    doc: dict = {"verb": cfg.verb, "seed": cfg.seed}
-    if cfg.out is not None:
-        doc["out"] = cfg.out
-    e = cfg.emulator
-    doc["emulator"] = {"r_coil": e.r_coil, "r_int": e.r_int,
-                       "l_coil": e.l_coil, "v_pull_in": e.v_pull_in,
-                       "v_drop_out": e.v_drop_out}
-    d = cfg.device
-    doc["device"] = {"r_on": d.r_on, "r_off": d.r_off,
-                     "v_th_pos": d.v_th_pos, "v_hold_pos": d.v_hold_pos,
-                     "v_th_neg": d.v_th_neg, "v_hold_neg": d.v_hold_neg,
-                     "t_actuate": d.t_actuate, "jitter_sigma": d.jitter_sigma}
-    if cfg.verb == "iv":
-        doc["sweep"] = {"amplitude": cfg.iv_amplitude, "points": cfg.iv_points}
-    elif cfg.verb == "transient":
-        doc["circuit"] = {"r1": cfg.r1, "dt": cfg.dt, "t_end": cfg.t_end}
-        s = cfg.source
-        doc["source"] = {"kind": s.kind, "amplitude": s.amplitude,
-                         "offset": s.offset, "period": s.period,
-                         "steps": [list(p) for p in s.steps]}
-        if cfg.digitize is not None:
-            doc["digitize"] = dict(zip(("threshold", "high", "low"),
-                                       cfg.digitize))
-    elif cfg.verb == "osc-check":
-        doc["circuit"] = {"r1": cfg.r1}
-        if cfg.sweep_param is not None:
-            doc["sweep"] = {"param": cfg.sweep_param,
-                            "values": list(cfg.sweep_values)}
-    elif cfg.verb == "gate":
-        doc["circuit"] = {"r_common": cfg.r_common, "v0": cfg.v0,
-                          "v1": cfg.v1, "v2": cfg.v2, "v3": cfg.v3,
-                          "duration": cfg.duration}
-    else:
-        doc["circuit"] = {"r_common": cfg.r_common, "v0": cfg.v0,
-                          "duration": cfg.duration}
-        doc["sweep"] = {"v1": list(cfg.v1_axis), "v2": list(cfg.v2_axis),
-                        "v3": cfg.v3}
+    doc: dict = {"verb": cfg.verb, "emulator": asdict(cfg.emulator),
+                 "device": asdict(cfg.device)}
+    for name, composite in _BLOCKS.items():
+        keys = _keys(cfg.verb, name)
+        if composite is None:
+            values = [getattr(cfg, k.field or k.name) for k in keys]
+        else:
+            value = getattr(cfg, name) if keys else None
+            values = () if value is None else composite[1](value)
+        part = {k.name: v for k, v in zip(keys, values) if v is not None}
+        if part:
+            doc.update({name: part} if name else part)
     return json.dumps(doc, indent=2, sort_keys=True)
 
 

@@ -168,6 +168,12 @@ class TestExitCodes:
         assert main(["transient", "--config", cfg]) == 3
         assert "guard" in capsys.readouterr().err
 
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        out = str(tmp_path / "missing-dir" / "o.csv")
+        assert main(["iv", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert out in err and "Traceback" not in err
+
     def test_seed_flag_overrides(self, tmp_path):
         out = tmp_path / "o.csv"
         assert main(["iv", "--seed", "9", "--out", str(out)]) == 0
