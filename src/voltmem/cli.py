@@ -8,7 +8,6 @@ reproducibility header: the fully resolved configuration plus the seed as
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import io
 import sys
 from dataclasses import replace
@@ -19,8 +18,8 @@ from . import config as cfgmod
 from .circuit import ResolutionError, SeriesCircuit, digitize, run_transient
 from .config import ConfigError, RunConfig, axis_points
 from .device import DeviceState, derive_device_params, device_resistance, step_device
-from .logic import (OSCILLATING_CODE, GateResult, LogicCircuit, canonical_program,
-                    classify, run_gate, sweep_grid, INPUT_PAIRS)
+from .logic import (GATE_NAMES, INPUT_PAIRS, OSCILLATING_CODE, LogicCircuit,
+                    canonical_program, run_gate, sweep_codes)
 from .oscillation import instability_lhs, is_unstable, onset_voltage
 
 _MAP_GLYPHS = "0123456789ABCDEF"
@@ -120,62 +119,51 @@ def run_gate_verb(cfg: RunConfig) -> str:
     return buf.getvalue()
 
 
-def _map_row(args):
-    circuit, v3, v1, v2_axis, duration = args
-    return [run_gate(circuit, canonical_program(v1, v2, v3,
-                                                v0=circuit.v_hold_level,
-                                                duration=duration))
-            for v2 in v2_axis]
+# CSV row ending by code_m1 * 16 + code_m2, and 256 for an oscillating cell
+_MAP_SUFFIXES = ["%d,%s,%d,%s,0\n" % (c1, GATE_NAMES[c1], c2, GATE_NAMES[c2])
+                 for c1 in range(16) for c2 in range(16)]
+_MAP_SUFFIXES.append("%d,OSC,%d,OSC,1\n" % (OSCILLATING_CODE, OSCILLATING_CODE))
+# heatmap glyph by code byte
+_GLYPH_BYTES = np.frombuffer(
+    (_MAP_GLYPHS + "?" * (OSCILLATING_CODE - 16) + _OSC_GLYPH).encode(),
+    dtype=np.uint8)
 
 
-def run_map_verb(cfg: RunConfig, jobs: int = 1):
+def run_map_verb(cfg: RunConfig):
     """Returns (csv_text, heatmap_text) for the (V1, V2) gate-map sweep."""
     circuit = LogicCircuit(m1=cfg.device, m2=cfg.device, r_common=cfg.r_common,
                            v_hold_level=cfg.v0)
     v1_axis = axis_points(cfg.v1_axis)
     v2_axis = axis_points(cfg.v2_axis)
-    tasks = [(circuit, cfg.v3, v1, v2_axis, cfg.duration) for v1 in v1_axis]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            grid = list(ex.map(_map_row, tasks))
-    else:
-        grid = [_map_row(t) for t in tasks]
+    codes = sweep_codes(circuit, cfg.v3, v1_axis, v2_axis, cfg.duration)
 
+    code_m1 = codes[0].astype(np.intp)
+    ends = np.where(code_m1 == OSCILLATING_CODE, 256, code_m1 * 16 + codes[1])
+    cols = ["%.9g," % v2 for v2 in v2_axis]
     buf = io.StringIO()
     buf.write(_header(cfg))
     buf.write("# grid = %dx%d\n" % (len(v1_axis), len(v2_axis)))
     buf.write("v1,v2,code_m1,label_m1,code_m2,label_m2,oscillated\n")
-    for i, v1 in enumerate(v1_axis):
-        for j, v2 in enumerate(v2_axis):
-            res = grid[i][j]
-            if res.oscillated:
-                buf.write("%.9g,%.9g,%d,OSC,%d,OSC,1\n" % (
-                    v1, v2, OSCILLATING_CODE, OSCILLATING_CODE))
-            else:
-                buf.write("%.9g,%.9g,%d,%s,%d,%s,0\n" % (
-                    v1, v2, res.code_m1, res.label_m1,
-                    res.code_m2, res.label_m2))
-    return buf.getvalue(), _heatmaps(grid, v1_axis, v2_axis)
+    for v1, row in zip(v1_axis, ends.tolist()):
+        head = "%.9g," % v1
+        buf.write("".join([head + col + _MAP_SUFFIXES[k]
+                           for col, k in zip(cols, row)]))
+    return buf.getvalue(), _heatmaps(codes, v1_axis)
 
 
-def _heatmaps(grid, v1_axis, v2_axis) -> str:
-    out = []
-    for register in ("M1", "M2"):
-        out.append(f"{register} register gate map "
-                   f"(rows: v2 high->low, cols: v1 {v1_axis[0]:g}..{v1_axis[-1]:g}; "
-                   f"glyph = hex gate code, {_OSC_GLYPH} = oscillating)")
-        for j in range(len(v2_axis) - 1, -1, -1):
-            row = []
-            for i in range(len(v1_axis)):
-                res = grid[i][j]
-                if res.oscillated:
-                    row.append(_OSC_GLYPH)
-                else:
-                    code = res.code_m1 if register == "M1" else res.code_m2
-                    row.append(_MAP_GLYPHS[code])
-            out.append("".join(row))
-        out.append("")
-    return "\n".join(out)
+def _heatmaps(codes, v1_axis) -> str:
+    blocks = []
+    for register, reg_codes in zip(("M1", "M2"), codes):
+        # rows run from the highest v2 down, columns over v1
+        glyphs = _GLYPH_BYTES[reg_codes.T[::-1]]
+        lines = np.column_stack(
+            [glyphs, np.full(len(glyphs), ord("\n"), dtype=np.uint8)])
+        blocks.append(
+            f"{register} register gate map "
+            f"(rows: v2 high->low, cols: v1 {v1_axis[0]:g}..{v1_axis[-1]:g}; "
+            f"glyph = hex gate code, {_OSC_GLYPH} = oscillating)\n"
+            + lines.tobytes().decode())
+    return "\n".join(blocks)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -203,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="RNG seed override")
         if verb == "map":
             p.add_argument("--jobs", type=int, default=1,
-                           help="parallel row evaluation workers")
+                           help="accepted and ignored: one array kernel "
+                                "computes the whole map")
     return parser
 
 
@@ -221,7 +210,7 @@ def main(argv=None) -> int:
         elif cfg.verb == "gate":
             _emit(run_gate_verb(cfg), cfg.out)
         else:
-            csv_text, heatmap = run_map_verb(cfg, jobs=args.jobs)
+            csv_text, heatmap = run_map_verb(cfg)
             _emit(csv_text, cfg.out)
             sys.stdout.write(heatmap)
     except ConfigError as e:

@@ -239,8 +239,8 @@ def load_config_dict(raw: dict) -> RunConfig:
     verb = _want(raw.get("verb") in VERBS, raw.get("verb"), "verb",
                  f"one of {VERBS}")
     emulator = _params(raw, "emulator", EmulatorParams())
-    device = _params(raw, "device",
-                     _build("device", derive_device_params, emulator))
+    derived = _build("device", derive_device_params, emulator)
+    device = _params(raw, "device", derived)
 
     resolved = {}
     for name, composite in _BLOCKS.items():
@@ -266,6 +266,19 @@ def load_config_dict(raw: dict) -> RunConfig:
     # checks across keys that no model constructor makes
     if verb == "transient":
         _want(cfg.dt <= cfg.t_end, cfg.dt, "circuit.dt", f"<= t_end={cfg.t_end}")
+        _want(math.isfinite(cfg.t_end / cfg.dt), cfg.dt, "circuit.dt",
+              f"large enough that t_end={cfg.t_end} / dt is finite")
+        # the divider multiplies the source voltage by the device resistance
+        src = cfg.source
+        peak, terms = abs(src.offset), "|offset|"
+        if src.kind == "steps":
+            peak = max([peak] + [abs(v) for _, v in src.steps])
+            terms = "largest of |offset| and the |steps| levels"
+        elif src.kind != "constant":
+            peak, terms = peak + abs(src.amplitude), "|offset| + |amplitude|"
+        _want(math.isfinite(peak * device.r_off), peak,
+              f"source peak voltage ({terms})", "small enough that its product "
+              f"with device.r_off={device.r_off} is finite")
     if verb in _GM:
         _build("circuit (r_common, v0)", LogicCircuit, m1=device, m2=device,
                r_common=cfg.r_common, v_hold_level=cfg.v0)
@@ -273,6 +286,14 @@ def load_config_dict(raw: dict) -> RunConfig:
               "circuit.duration", f">= 10 * device.t_actuate={device.t_actuate}")
     _want((cfg.sweep_param is None) == (cfg.sweep_values is None),
           cfg.sweep_param, "sweep.param", "given together with sweep.values")
+    if cfg.sweep_param == "r_int":
+        # the sweep derives the device from the emulator at each r_int and
+        # keeps only t_actuate and jitter_sigma of the device block
+        for key, val in _block(raw, "device").items():
+            _want(key in ("t_actuate", "jitter_sigma")
+                  or val == getattr(derived, key), val, f"device.{key}",
+                  f"left at its derived value {getattr(derived, key)!r} "
+                  "when sweep.param is 'r_int'")
     # each swept value must pass the check of the key it stands in for
     for val in cfg.sweep_values or ():
         if cfg.sweep_param == "r1":

@@ -9,6 +9,8 @@ device; opening it engages V3 and lets the devices interact through N.
 States are relaxed quasi-statically inside each phase: solve the one-node
 network, apply the zero-delay threshold rule to both devices simultaneously,
 repeat until a fixed point or a revisited state (cycle = would-be oscillation).
+relax_phase does this for one state pair; sweep_codes does it on arrays for
+every cell and input pair of a (v1, v2) map at once.
 """
 
 from __future__ import annotations
@@ -150,16 +152,20 @@ def relax_phase(c: LogicCircuit, states: Tuple[bool, bool],
         states = nxt
 
 
+def _check_durations(c: LogicCircuit, prog: PhaseProgram) -> None:
+    min_duration = 10.0 * max(c.m1.t_actuate, c.m2.t_actuate)
+    if any(ph.duration < min_duration for ph in prog.phases):
+        raise ValueError(f"phase durations must be >= {min_duration} "
+                         "(10x the actuation delay)")
+
+
 def run_sequence(c: LogicCircuit, prog: PhaseProgram,
                  inputs: Tuple[int, int]) -> Tuple[int, int, bool]:
     """Run the full phase program for one input pair; returns (s1, s2, oscillated)."""
     a, b = inputs
     if a not in (0, 1) or b not in (0, 1):
         raise ValueError(f"inputs must be bits, got {inputs}")
-    min_duration = 10.0 * max(c.m1.t_actuate, c.m2.t_actuate)
-    if any(ph.duration < min_duration for ph in prog.phases):
-        raise ValueError(f"phase durations must be >= {min_duration} "
-                         "(10x the actuation delay)")
+    _check_durations(c, prog)
 
     init = prog.phases[0]
     init = replace(init,
@@ -230,25 +236,103 @@ def sweep_grid(c: LogicCircuit, v3: float, v1_axis, v2_axis,
              for v2 in v2_axis] for v1 in v1_axis]
 
 
+def _switch(p: DeviceParams, conducting: np.ndarray, v) -> np.ndarray:
+    # _threshold_update over arrays
+    return np.where(conducting,
+                    np.logical_not((p.v_hold_neg < v) & (v < p.v_hold_pos)),
+                    (v > p.v_th_pos) | (v < p.v_th_neg))
+
+
+def _relax(c: LogicCircuit, s1: np.ndarray, s2: np.ndarray, phase: Phase):
+    """relax_phase over arrays; returns (s1, s2, cycled).
+
+    Each element of the states broadcast against the phase voltages is one
+    relaxation. Its visited states are a 4-bit mask (bit 2*s1 + s2); an
+    element stops at a fixed point or a revisit, keeping the state before
+    closure, and all have stopped after 4 iterations.
+    """
+    shape = np.broadcast_shapes(s1.shape, np.shape(phase.v1), np.shape(phase.v2))
+    s1, s2 = np.broadcast_to(s1, shape), np.broadcast_to(s2, shape)
+    state = (s1.view(np.uint8) << 1) | s2.view(np.uint8)
+    seen = np.uint8(1) << state
+    active = np.ones(shape, dtype=bool)
+    cycled = np.zeros(shape, dtype=bool)
+    v_m1, v_m2 = phase.v1, phase.v2    # switch closed: the full source voltage
+    g3 = 1.0 / c.r_common
+    for _ in range(4):
+        if not phase.switch_closed:
+            # solve_node's expression, in its order, so floats match bit for bit
+            g1 = np.where(s1, 1.0 / c.m1.r_on, 1.0 / c.m1.r_off)
+            g2 = np.where(s2, 1.0 / c.m2.r_on, 1.0 / c.m2.r_off)
+            v_n = (phase.v1 * g1 + phase.v2 * g2 + phase.v3 * g3) / (g1 + g2 + g3)
+            v_m1, v_m2 = phase.v1 - v_n, phase.v2 - v_n
+        n1, n2 = _switch(c.m1, s1, v_m1), _switch(c.m2, s2, v_m2)
+        nxt = (n1.view(np.uint8) << 1) | n2.view(np.uint8)
+        revisit = ((seen >> nxt) & 1).view(bool) & active
+        cycled |= revisit & (nxt != state)
+        active &= ~revisit
+        if not active.any():
+            break
+        s1, s2 = np.where(active, n1, s1), np.where(active, n2, s2)
+        state = np.where(active, nxt, state)
+        seen |= np.uint8(1) << nxt
+    return s1, s2, cycled
+
+
+def sweep_codes(c: LogicCircuit, v3: float, v1_axis, v2_axis,
+                duration: float = 10e-3) -> Tuple[np.ndarray, np.ndarray]:
+    """Gate codes of both registers for every (v1, v2) grid cell at once.
+
+    Returns two uint8 arrays of shape (len(v1_axis), len(v2_axis)), equal to
+    the code_m1/code_m2 of sweep_grid's GateResults, with OSCILLATING_CODE
+    in both wherever any input pair cycled in any phase. The canonical
+    program runs with array voltages: the calc phase holds v1 along axis 0
+    and v2 along axis 1, the init phase the four input pairs along axis 2,
+    so init and hold relax four elements and calc the whole grid.
+    """
+    v1_axis = np.asarray(v1_axis, dtype=float)
+    v2_axis = np.asarray(v2_axis, dtype=float)
+    if len(v1_axis) == 0 or len(v2_axis) == 0:
+        raise ValueError("sweep axes must be nonempty")
+    prog = canonical_program(v1_axis[:, None, None], v2_axis[None, :, None],
+                             v3, v0=c.v_hold_level, duration=duration)
+    _check_durations(c, prog)
+    a, b = np.array(INPUT_PAIRS, dtype=bool).T
+    init = replace(prog.phases[0],
+                   v1=np.where(a, prog.init_high, prog.init_low),
+                   v2=np.where(b, prog.init_high, prog.init_low))
+    s1 = s2 = cycled = np.zeros(4, dtype=bool)
+    for phase in (init,) + prog.phases[1:]:
+        s1, s2, cyc = _relax(c, s1, s2, phase)
+        cycled = cycled | cyc
+    # input pair k = 2a+b is bit k of the code
+    oscillated = cycled.any(axis=-1)
+    return tuple(np.where(oscillated, OSCILLATING_CODE,
+                          np.packbits(s, axis=-1, bitorder="little")[..., 0])
+                 .astype(np.uint8) for s in (s1, s2))
+
+
 def sweep_map(c: LogicCircuit, v3: float, v1_axis, v2_axis,
               register: str = "M1", grid: List[List[GateResult]] | None = None) -> GateMap:
     """Gate-code map over (v1, v2) for one result register.
 
     Cells whose relaxation cycled get the OSCILLATING_CODE sentinel rather
-    than being folded into a gate class.
+    than being folded into a gate class. Without a grid the codes come from
+    sweep_codes; with one, from its GateResults.
     """
     if register not in ("M1", "M2"):
         raise ValueError("register must be 'M1' or 'M2'")
     v1_axis = np.asarray(v1_axis, dtype=float)
     v2_axis = np.asarray(v2_axis, dtype=float)
     if grid is None:
-        grid = sweep_grid(c, v3, v1_axis, v2_axis)
-    codes = np.empty((len(v1_axis), len(v2_axis)), dtype=np.uint8)
-    for i, row in enumerate(grid):
-        for j, res in enumerate(row):
-            if res.oscillated:
-                codes[i, j] = OSCILLATING_CODE
-            else:
-                codes[i, j] = res.code_m1 if register == "M1" else res.code_m2
+        codes = sweep_codes(c, v3, v1_axis, v2_axis)[register == "M2"]
+    else:
+        codes = np.empty((len(v1_axis), len(v2_axis)), dtype=np.uint8)
+        for i, row in enumerate(grid):
+            for j, res in enumerate(row):
+                if res.oscillated:
+                    codes[i, j] = OSCILLATING_CODE
+                else:
+                    codes[i, j] = res.code_m1 if register == "M1" else res.code_m2
     return GateMap(v1_axis=v1_axis, v2_axis=v2_axis, v3=v3,
                    register=register, codes=codes)

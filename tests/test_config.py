@@ -110,6 +110,14 @@ def test_resolved_config_header(tmp_path, verb, doc, resolved):
      "sweep.values"),
     ("osc-check", '{"sweep": {"param": "r1"}}', 2, "sweep.values"),
     ("transient", '{"circuit": {"dt": 1e-3, "t_end": 0.05}}', 3, "dt="),
+    # an r_int sweep derives the device at each value: no device overrides
+    ("osc-check", '{"device": {"v_th_pos": 3.0}, '
+     '"sweep": {"param": "r_int", "values": [680]}}', 2, "device.v_th_pos"),
+    # finite values whose sample count or divider voltage overflows
+    ("transient", '{"device": {"t_actuate": 0}, '
+     '"circuit": {"dt": 1e-300, "t_end": 1e300}}', 2, "circuit.dt"),
+    ("transient", '{"source": {"kind": "sawtooth", "offset": 1e308, '
+     '"amplitude": 1e308, "period": 0.05}}', 2, "|offset| + |amplitude|"),
 ])
 def test_bad_input_exit_code_names_key(tmp_path, verb, document, code, key):
     got, _, err = run_cli(verb, document, str(tmp_path))
