@@ -8,11 +8,14 @@ loop current at every sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .device import DeviceParams, DeviceState, device_resistance, step_device
+
+
+_CSV_CHUNK_ROWS = 4096
 
 
 class ResolutionError(ValueError):
@@ -47,30 +50,26 @@ class SourceWaveform:
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ValueError("step times must be strictly increasing")
 
-    def value(self, t: float) -> float:
+    def value(self, t):
+        """Source voltage at time `t`, a float or an array of times."""
+        t = np.asarray(t, dtype=float)
         if self.kind == "constant":
-            return self.offset
+            return np.full(t.shape, self.offset, dtype=float)[()]
         if self.kind == "steps":
-            v = self.offset
-            for time, val in self.steps:
-                if t >= time:
-                    v = val
-                else:
-                    break
-            return v
+            times = [time for time, _ in self.steps]
+            levels = np.array([self.offset] + [val for _, val in self.steps],
+                              dtype=float)
+            return levels[np.searchsorted(times, t, side="right")][()]
         frac = (t / self.period) % 1.0
         if self.kind == "sawtooth":
-            return self.offset + self.amplitude * frac
-        if self.kind == "sine":
-            return self.offset + self.amplitude * np.sin(2.0 * np.pi * frac)
-        # triangle: 0 -> +A at T/4 -> -A at 3T/4 -> 0
-        if frac < 0.25:
-            level = 4.0 * frac
-        elif frac < 0.75:
-            level = 2.0 - 4.0 * frac
-        else:
-            level = 4.0 * frac - 4.0
-        return self.offset + self.amplitude * level
+            level = frac
+        elif self.kind == "sine":
+            level = np.sin(2.0 * np.pi * frac)
+        else:  # triangle: 0 -> +A at T/4 -> -A at 3T/4 -> 0
+            level = np.where(frac < 0.25, 4.0 * frac,
+                             np.where(frac < 0.75, 2.0 - 4.0 * frac,
+                                      4.0 * frac - 4.0))
+        return (self.offset + self.amplitude * level)[()]
 
 
 @dataclass(frozen=True)
@@ -86,27 +85,37 @@ class SeriesCircuit:
 
 @dataclass(frozen=True)
 class Trace:
-    """Uniformly sampled transient record."""
+    """Uniformly sampled transient record; the output node is the device."""
 
     dt: float
     t: np.ndarray
     v_applied: np.ndarray
     v_device: np.ndarray
-    v_out: np.ndarray
     conducting: np.ndarray
     current: np.ndarray
 
     def __len__(self):
         return len(self.t)
 
-    def to_csv(self, fh, header_lines=()) -> None:
+    def to_csv(self, fh, header_lines=(), logic=None) -> None:
+        """Write `# ` header lines, then one row per sample; the `v_out`
+        column repeats `v_device`, and a `logic` column follows when given."""
         for line in header_lines:
             fh.write(f"# {line}\n")
-        fh.write("t,v_applied,v_device,v_out,conducting,current\n")
-        for i in range(len(self.t)):
-            fh.write("%.9g,%.9g,%.9g,%.9g,%d,%.9g\n" % (
-                self.t[i], self.v_applied[i], self.v_device[i],
-                self.v_out[i], int(self.conducting[i]), self.current[i]))
+        cols = [self.t, self.v_applied, self.v_device, self.v_device,
+                self.conducting, self.current]
+        fmt = "%.9g,%.9g,%.9g,%.9g,%d,%.9g"
+        names = "t,v_applied,v_device,v_out,conducting,current"
+        if logic is not None:
+            cols.append(logic)
+            fmt += ",%.9g"
+            names += ",logic"
+        fh.write(names + "\n")
+        fmt += "\n"
+        # format in chunks: whole-column lists would hold every row's floats
+        for start in range(0, len(self.t), _CSV_CHUNK_ROWS):
+            rows = zip(*[c[start:start + _CSV_CHUNK_ROWS].tolist() for c in cols])
+            fh.write("".join([fmt % row for row in rows]))
 
 
 def solve_series_divider(r1: float, r_m: float, v: float):
@@ -132,29 +141,28 @@ def run_transient(c: SeriesCircuit, dt: float, t_end: float, seed: int = 0) -> T
     rng = np.random.default_rng(seed)
     n = int(round(t_end / dt)) + 1
     t = np.arange(n) * dt
-    v_applied = np.empty(n)
+    v_applied = c.source.value(t)
+    bad = ~np.isfinite(v_applied)
+    if bad.any():
+        raise ValueError(f"non-finite source voltage at t={t[np.argmax(bad)]}")
     v_device = np.empty(n)
     conducting = np.zeros(n, dtype=bool)
     current = np.empty(n)
 
     state = DeviceState(conducting=False)
     for k in range(n):
-        v = c.source.value(t[k])
-        if not np.isfinite(v):
-            raise ValueError(f"non-finite source voltage at t={t[k]}")
         r_m = device_resistance(c.device, state)
-        v_m, i = solve_series_divider(c.r1, r_m, v)
-        v_applied[k] = v
+        v_m, i = solve_series_divider(c.r1, r_m, v_applied[k])
         v_device[k] = v_m
         conducting[k] = state.conducting
         current[k] = i
         state = step_device(c.device, state, v_m, dt, rng)
 
     return Trace(dt=dt, t=t, v_applied=v_applied, v_device=v_device,
-                 v_out=v_device.copy(), conducting=conducting, current=current)
+                 conducting=conducting, current=current)
 
 
 def digitize(tr: Trace, threshold: float = 2.5, high: float = 5.0,
              low: float = 0.0) -> np.ndarray:
-    """Comparator output per sample: high iff v_out > threshold (strict)."""
-    return np.where(tr.v_out > threshold, high, low)
+    """Comparator output per sample: high iff v_device > threshold (strict)."""
+    return np.where(tr.v_device > threshold, high, low)

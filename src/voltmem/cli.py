@@ -15,7 +15,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import config as cfgmod
-from .circuit import ResolutionError, SeriesCircuit, digitize, run_transient
+from .circuit import (ResolutionError, SeriesCircuit, SourceWaveform, digitize,
+                      run_transient)
 from .config import ConfigError, RunConfig, axis_points
 from .device import DeviceState, derive_device_params, device_resistance, step_device
 from .logic import (GATE_NAMES, INPUT_PAIRS, OSCILLATING_CODE, LogicCircuit,
@@ -39,19 +40,12 @@ def run_iv_sweep(cfg: RunConfig) -> str:
     dev = replace(cfg.device, t_actuate=0.0)
     rng = np.random.default_rng(cfg.seed)
     n = cfg.iv_points
-    a = cfg.iv_amplitude
+    sweep = SourceWaveform("triangle", amplitude=cfg.iv_amplitude, period=1.0)
     state = DeviceState(conducting=False)
     buf = io.StringIO()
     buf.write(_header(cfg))
     buf.write("v,i,conducting\n")
-    for k in range(n):
-        frac = k / (n - 1)
-        if frac < 0.25:
-            v = a * 4.0 * frac
-        elif frac < 0.75:
-            v = a * (2.0 - 4.0 * frac)
-        else:
-            v = a * (4.0 * frac - 4.0)
+    for v in sweep.value(np.arange(n) / (n - 1)).tolist():
         state = step_device(dev, state, v, 1.0, rng)
         i = v / device_resistance(dev, state)
         buf.write("%.9g,%.9g,%d\n" % (v, i, int(state.conducting)))
@@ -61,18 +55,9 @@ def run_iv_sweep(cfg: RunConfig) -> str:
 def run_transient_verb(cfg: RunConfig) -> str:
     circuit = SeriesCircuit(r1=cfg.r1, device=cfg.device, source=cfg.source)
     trace = run_transient(circuit, cfg.dt, cfg.t_end, seed=cfg.seed)
+    logic = None if cfg.digitize is None else digitize(trace, *cfg.digitize)
     buf = io.StringIO()
-    buf.write(_header(cfg))
-    if cfg.digitize is None:
-        trace.to_csv(buf)
-        return buf.getvalue()
-    threshold, high, low = cfg.digitize
-    logic = digitize(trace, threshold, high, low)
-    buf.write("t,v_applied,v_device,v_out,conducting,current,logic\n")
-    for k in range(len(trace)):
-        buf.write("%.9g,%.9g,%.9g,%.9g,%d,%.9g,%.9g\n" % (
-            trace.t[k], trace.v_applied[k], trace.v_device[k], trace.v_out[k],
-            int(trace.conducting[k]), trace.current[k], logic[k]))
+    trace.to_csv(buf, cfgmod.header_lines(cfg), logic)
     return buf.getvalue()
 
 
@@ -189,10 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a JSON config document")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--seed", type=int, help="RNG seed override")
-        if verb == "map":
-            p.add_argument("--jobs", type=int, default=1,
-                           help="accepted and ignored: one array kernel "
-                                "computes the whole map")
     return parser
 
 

@@ -8,7 +8,7 @@ actuation time and can optionally be jittered to mimic noisy relay thresholds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 DEFAULT_T_ACTUATE = 0.5e-3  # seconds; reed-relay order of magnitude
 DEFAULT_JITTER_SIGMA = 0.0

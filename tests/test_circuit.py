@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voltmem.circuit import (ResolutionError, SeriesCircuit, SourceWaveform,
                              digitize, run_transient, solve_series_divider)
@@ -71,6 +72,60 @@ class TestWaveforms:
             SourceWaveform(kind="squarewave")
 
 
+def scalar_waveform(w, t):
+    """Reference: the piecewise definition of `w` at one float time `t`."""
+    if w.kind == "constant":
+        return w.offset
+    if w.kind == "steps":
+        v = w.offset
+        for time, val in w.steps:
+            if t < time:
+                break
+            v = val
+        return v
+    frac = (t / w.period) % 1.0
+    if w.kind == "sawtooth":
+        return w.offset + w.amplitude * frac
+    if w.kind == "sine":
+        return w.offset + w.amplitude * np.sin(2.0 * np.pi * frac)
+    if frac < 0.25:
+        level = 4.0 * frac
+    elif frac < 0.75:
+        level = 2.0 - 4.0 * frac
+    else:
+        level = 4.0 * frac - 4.0
+    return w.offset + w.amplitude * level
+
+
+@st.composite
+def waveforms_and_times(draw):
+    """A waveform of any kind and times that include its step times and
+    quarter-period boundaries."""
+    real = st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0])
+    period = draw(st.floats(1e-4, 10.0))
+    times = sorted(set(draw(st.lists(st.floats(0.0, 20.0), max_size=5))))
+    w = SourceWaveform(
+        draw(st.sampled_from(SourceWaveform._KINDS)), amplitude=draw(real),
+        offset=draw(real), period=period,
+        steps=tuple((time, draw(real)) for time in times))
+    t = (draw(st.lists(st.floats(-50.0, 50.0), max_size=20)) + times
+         + [k * period / 4.0 for k in range(9)])
+    return w, np.array(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(waveforms_and_times())
+def test_waveform_array_matches_scalar_reference(case):
+    w, t = case
+    got = w.value(t)
+    assert got.shape == t.shape
+    for want in ([scalar_waveform(w, x) for x in t.tolist()],
+                 [w.value(x) for x in t.tolist()]):
+        # bit for bit, so a flipped zero sign fails too
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      np.array(want, dtype=float).view(np.uint64))
+
+
 class TestTransient:
     def test_below_threshold_stays_off(self):
         tr = run_transient(fig2b_circuit(SourceWaveform("constant", offset=1.0)),
@@ -138,14 +193,14 @@ class TestDigitize:
     def test_constant_high(self):
         tr = run_transient(fig2b_circuit(SourceWaveform("constant", offset=8.0)),
                            dt=1e-4, t_end=0.01)
-        # stays OFF only briefly; just check mapping against v_out directly
+        # stays OFF only briefly; just check mapping against v_device directly
         out = digitize(tr, threshold=2.5, high=5.0, low=0.0)
-        np.testing.assert_array_equal(out, np.where(tr.v_out > 2.5, 5.0, 0.0))
+        np.testing.assert_array_equal(out, np.where(tr.v_device > 2.5, 5.0, 0.0))
 
     def test_boundary_equality_maps_low(self):
         tr = run_transient(fig2b_circuit(SourceWaveform("constant", offset=1.0)),
                            dt=1e-4, t_end=0.01)
-        out = digitize(tr, threshold=tr.v_out[0], high=5.0, low=0.0)
+        out = digitize(tr, threshold=tr.v_device[0], high=5.0, low=0.0)
         assert (out == 0.0).all()
 
     def test_oscillating_trace_alternates(self):

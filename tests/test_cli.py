@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from voltmem.circuit import SeriesCircuit, digitize, run_transient
 from voltmem.cli import main
 from voltmem.config import (ConfigError, axis_points, load_config, serialize)
 
@@ -141,15 +143,53 @@ class TestVerbs:
         heat = capsys.readouterr().out
         assert "M1 register gate map" in heat and "M2 register gate map" in heat
 
-    def test_map_jobs_matches_serial(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "sweep": {"v1": [0.0, 3.0, 0.5], "v2": [0.0, 3.0, 0.5],
-                      "v3": -1.9}})
-        out1, out2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
-        assert main(["map", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["map", "--config", cfg, "--out", str(out2),
-                     "--jobs", "4"]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+    def test_map_jobs_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["map", "--jobs", "4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --jobs 4" in err
+        assert "Traceback" not in err
+
+    # -4: the zero-volt rows print 0, never -0; 1e308: 4 * amplitude
+    # overflows, but the sweep's samples stay finite
+    @pytest.mark.parametrize("amplitude", [-4.0, 1e308])
+    def test_iv_negative_or_huge_amplitude(self, tmp_path, amplitude):
+        cfg = write_config(tmp_path, {"sweep": {"amplitude": amplitude}})
+        out = tmp_path / "iv.csv"
+        assert main(["iv", "--config", cfg, "--out", str(out)]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert len(rows) == 2001
+        assert [rows[k] for k in (0, 1000, 2000)] == [["0", "0", "0"]] * 3
+        assert not [f for row in rows for f in row if f == "-0"]
+        assert all(math.isfinite(float(f)) for row in rows for f in row)
+
+    def test_transient_digitize_only_adds_logic_column(self, tmp_path):
+        # 5001 rows: more than one formatting chunk of Trace.to_csv
+        doc = {"circuit": {"r1": 680.0, "dt": 1e-4, "t_end": 0.5},
+               "emulator": {"r_int": 220.0},
+               "source": {"kind": "constant", "offset": 5.0}}
+
+        def body(name):
+            out = tmp_path / f"{name}.csv"
+            cfg = write_config(tmp_path, doc, f"{name}.json")
+            assert main(["transient", "--config", cfg, "--out", str(out)]) == 0
+            return [l for l in out.read_text().splitlines()
+                    if not l.startswith("#")]
+
+        plain = body("plain")
+        doc["digitize"] = {"threshold": 2.0}
+        dig = body("dig")
+        cfg = load_config(json.dumps(dict(doc, verb="transient")))
+        trace = run_transient(SeriesCircuit(cfg.r1, cfg.device, cfg.source),
+                              cfg.dt, cfg.t_end, seed=cfg.seed)
+        logic = digitize(trace, *cfg.digitize)
+        assert set(logic) == {0.0, 5.0}
+        assert len(plain) == len(dig) == 1 + len(logic) == 5002
+        assert dig[0] == plain[0] + ",logic"
+        assert dig[1:] == [row + ",%.9g" % x
+                           for row, x in zip(plain[1:], logic)]
 
 
 class TestExitCodes:

@@ -17,7 +17,7 @@ def square_trace(period_samples, n, dt):
     conducting = (np.arange(n) // (period_samples // 2)) % 2 == 1
     zeros = np.zeros(n)
     return Trace(dt=dt, t=np.arange(n) * dt, v_applied=zeros, v_device=zeros,
-                 v_out=zeros, conducting=conducting, current=zeros)
+                 conducting=conducting, current=zeros)
 
 
 class TestClosedForm:
