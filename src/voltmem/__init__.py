@@ -6,8 +6,8 @@ with (V1, V2) gate-map sweeps.
 """
 
 from .device import (DeviceParams, DeviceState, EmulatorParams,
-                     coil_impedance, default_device, derive_device_params,
-                     device_resistance, step_device, transition_frequency)
+                     coil_impedance, derive_device_params, device_resistance,
+                     step_device, transition_frequency)
 from .circuit import (ResolutionError, SeriesCircuit, SourceWaveform, Trace,
                       digitize, run_transient, solve_series_divider)
 from .oscillation import (OscillationReport, detect_oscillation,

@@ -97,11 +97,9 @@ class Trace:
     def __len__(self):
         return len(self.t)
 
-    def to_csv(self, fh, header_lines=(), logic=None) -> None:
-        """Write `# ` header lines, then one row per sample; the `v_out`
+    def to_csv(self, fh, logic=None) -> None:
+        """Write the column names, then one row per sample; the `v_out`
         column repeats `v_device`, and a `logic` column follows when given."""
-        for line in header_lines:
-            fh.write(f"# {line}\n")
         cols = [self.t, self.v_applied, self.v_device, self.v_device,
                 self.conducting, self.current]
         fmt = "%.9g,%.9g,%.9g,%.9g,%d,%.9g"

@@ -1,15 +1,16 @@
 """Command-line front end: iv, transient, osc-check, gate and map verbs.
 
-Every verb emits CSV (or plain text for gate/osc-check) prefixed with a
-reproducibility header: the fully resolved configuration plus the seed as
-`#` comment lines. Identical config + seed gives byte-identical output.
+Every verb computes its results, then writes CSV (or plain text for
+gate/osc-check) to one output sink prefixed with a reproducibility header:
+the fully resolved configuration plus the seed as `#` comment lines.
+Identical config + seed gives byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -27,11 +28,26 @@ _MAP_GLYPHS = "0123456789ABCDEF"
 _OSC_GLYPH = "*"
 
 
-def _header(cfg: RunConfig) -> str:
-    return "".join(f"# {line}\n" for line in cfgmod.header_lines(cfg))
+@contextmanager
+def _output(cfg: RunConfig):
+    """The run's output sink, `--out` or stdout, with the `# ` resolved-config
+    header written; enter it only once the results are computed, so that a
+    failed run leaves no `--out` file."""
+    header = "".join(f"# {line}\n" for line in cfgmod.header_lines(cfg))
+    if cfg.out is None:
+        sys.stdout.write(header)
+        yield sys.stdout
+        return
+    try:
+        with open(cfg.out, "w") as fh:
+            fh.write(header)
+            yield fh
+    except OSError as e:
+        raise ConfigError(
+            f"cannot write output file {cfg.out}: {e.strerror}") from e
 
 
-def run_iv_sweep(cfg: RunConfig) -> str:
+def run_iv_sweep(cfg: RunConfig) -> None:
     """Quasi-static triangle sweep straight across one device: v,i,conducting.
 
     The actuation delay is zeroed so the trace depends only on voltage, not
@@ -42,66 +58,62 @@ def run_iv_sweep(cfg: RunConfig) -> str:
     n = cfg.iv_points
     sweep = SourceWaveform("triangle", amplitude=cfg.iv_amplitude, period=1.0)
     state = DeviceState(conducting=False)
-    buf = io.StringIO()
-    buf.write(_header(cfg))
-    buf.write("v,i,conducting\n")
+    lines = ["v,i,conducting\n"]
     for v in sweep.value(np.arange(n) / (n - 1)).tolist():
         state = step_device(dev, state, v, 1.0, rng)
         i = v / device_resistance(dev, state)
-        buf.write("%.9g,%.9g,%d\n" % (v, i, int(state.conducting)))
-    return buf.getvalue()
+        lines.append("%.9g,%.9g,%d\n" % (v, i, int(state.conducting)))
+    with _output(cfg) as fh:
+        fh.writelines(lines)
 
 
-def run_transient_verb(cfg: RunConfig) -> str:
+def run_transient_verb(cfg: RunConfig) -> None:
     circuit = SeriesCircuit(r1=cfg.r1, device=cfg.device, source=cfg.source)
     trace = run_transient(circuit, cfg.dt, cfg.t_end, seed=cfg.seed)
     logic = None if cfg.digitize is None else digitize(trace, *cfg.digitize)
-    buf = io.StringIO()
-    trace.to_csv(buf, cfgmod.header_lines(cfg), logic)
-    return buf.getvalue()
+    with _output(cfg) as fh:
+        trace.to_csv(fh, logic)
 
 
-def run_osc_check(cfg: RunConfig) -> str:
-    buf = io.StringIO()
-    buf.write(_header(cfg))
+def run_osc_check(cfg: RunConfig) -> None:
     if cfg.sweep_param is None:
         d = cfg.device
-        buf.write("onset_voltage = %.9g\n" % onset_voltage(d, cfg.r1))
-        buf.write("instability_lhs = %.9g\n" % instability_lhs(d, cfg.r1))
-        buf.write("v_hold_pos = %.9g\n" % d.v_hold_pos)
-        buf.write("unstable = %s\n" % ("true" if is_unstable(d, cfg.r1) else "false"))
-        return buf.getvalue()
-    buf.write("%s,onset_voltage,instability_lhs,unstable\n" % cfg.sweep_param)
-    for val in cfg.sweep_values:
-        if cfg.sweep_param == "r1":
-            d, r1 = cfg.device, val
-        else:
-            d = replace(derive_device_params(replace(cfg.emulator, r_int=val)),
-                        t_actuate=cfg.device.t_actuate,
-                        jitter_sigma=cfg.device.jitter_sigma)
-            r1 = cfg.r1
-        buf.write("%.9g,%.9g,%.9g,%d\n" % (
-            val, onset_voltage(d, r1), instability_lhs(d, r1),
-            int(is_unstable(d, r1))))
-    return buf.getvalue()
+        lines = ["onset_voltage = %.9g\n" % onset_voltage(d, cfg.r1),
+                 "instability_lhs = %.9g\n" % instability_lhs(d, cfg.r1),
+                 "v_hold_pos = %.9g\n" % d.v_hold_pos,
+                 "unstable = %s\n"
+                 % ("true" if is_unstable(d, cfg.r1) else "false")]
+    else:
+        lines = ["%s,onset_voltage,instability_lhs,unstable\n" % cfg.sweep_param]
+        for val in cfg.sweep_values:
+            if cfg.sweep_param == "r1":
+                d, r1 = cfg.device, val
+            else:
+                d = replace(derive_device_params(replace(cfg.emulator, r_int=val)),
+                            t_actuate=cfg.device.t_actuate,
+                            jitter_sigma=cfg.device.jitter_sigma)
+                r1 = cfg.r1
+            lines.append("%.9g,%.9g,%.9g,%d\n" % (
+                val, onset_voltage(d, r1), instability_lhs(d, r1),
+                int(is_unstable(d, r1))))
+    with _output(cfg) as fh:
+        fh.writelines(lines)
 
 
-def run_gate_verb(cfg: RunConfig) -> str:
+def run_gate_verb(cfg: RunConfig) -> None:
     circuit = LogicCircuit(m1=cfg.device, m2=cfg.device, r_common=cfg.r_common,
                            v_hold_level=cfg.v0)
     prog = canonical_program(cfg.v1, cfg.v2, cfg.v3, v0=cfg.v0,
                              duration=cfg.duration)
     res = run_gate(circuit, prog)
-    buf = io.StringIO()
-    buf.write(_header(cfg))
-    buf.write("a,b,m1,m2\n")
-    for pair in INPUT_PAIRS:
-        s1, s2 = res.final_states[pair]
-        buf.write("%d,%d,%d,%d\n" % (pair[0], pair[1], s1, s2))
-    buf.write("code_m1 = %d (%s)\n" % (res.code_m1, res.label_m1))
-    buf.write("code_m2 = %d (%s)\n" % (res.code_m2, res.label_m2))
-    buf.write("oscillated = %s\n" % ("true" if res.oscillated else "false"))
-    return buf.getvalue()
+    with _output(cfg) as fh:
+        fh.write("a,b,m1,m2\n")
+        for pair in INPUT_PAIRS:
+            s1, s2 = res.final_states[pair]
+            fh.write("%d,%d,%d,%d\n" % (pair[0], pair[1], s1, s2))
+        fh.write("code_m1 = %d (%s)\n" % (res.code_m1, res.label_m1))
+        fh.write("code_m2 = %d (%s)\n" % (res.code_m2, res.label_m2))
+        fh.write("oscillated = %s\n" % ("true" if res.oscillated else "false"))
 
 
 # CSV row ending by code_m1 * 16 + code_m2, and 256 for an oscillating cell
@@ -114,8 +126,8 @@ _GLYPH_BYTES = np.frombuffer(
     dtype=np.uint8)
 
 
-def run_map_verb(cfg: RunConfig):
-    """Returns (csv_text, heatmap_text) for the (V1, V2) gate-map sweep."""
+def run_map_verb(cfg: RunConfig) -> None:
+    """The (V1, V2) gate-map sweep: CSV to the output sink, heatmaps to stdout."""
     circuit = LogicCircuit(m1=cfg.device, m2=cfg.device, r_common=cfg.r_common,
                            v_hold_level=cfg.v0)
     v1_axis = axis_points(cfg.v1_axis)
@@ -125,15 +137,14 @@ def run_map_verb(cfg: RunConfig):
     code_m1 = codes[0].astype(np.intp)
     ends = np.where(code_m1 == OSCILLATING_CODE, 256, code_m1 * 16 + codes[1])
     cols = ["%.9g," % v2 for v2 in v2_axis]
-    buf = io.StringIO()
-    buf.write(_header(cfg))
-    buf.write("# grid = %dx%d\n" % (len(v1_axis), len(v2_axis)))
-    buf.write("v1,v2,code_m1,label_m1,code_m2,label_m2,oscillated\n")
-    for v1, row in zip(v1_axis, ends.tolist()):
-        head = "%.9g," % v1
-        buf.write("".join([head + col + _MAP_SUFFIXES[k]
-                           for col, k in zip(cols, row)]))
-    return buf.getvalue(), _heatmaps(codes, v1_axis)
+    with _output(cfg) as fh:
+        fh.write("# grid = %dx%d\n" % (len(v1_axis), len(v2_axis)))
+        fh.write("v1,v2,code_m1,label_m1,code_m2,label_m2,oscillated\n")
+        for v1, row in zip(v1_axis, ends.tolist()):
+            head = "%.9g," % v1
+            fh.write("".join([head + col + _MAP_SUFFIXES[k]
+                              for col, k in zip(cols, row)]))
+    sys.stdout.write(_heatmaps(codes, v1_axis))
 
 
 def _heatmaps(codes, v1_axis) -> str:
@@ -149,18 +160,6 @@ def _heatmaps(codes, v1_axis) -> str:
             f"glyph = hex gate code, {_OSC_GLYPH} = oscillating)\n"
             + lines.tobytes().decode())
     return "\n".join(blocks)
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    except OSError as e:
-        raise ConfigError(
-            f"cannot write output file {out_path}: {e.strerror}") from e
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,18 +181,10 @@ def main(argv=None) -> int:
     try:
         cfg = cfgmod.read_config(args.config, verb=args.verb, seed=args.seed,
                                  out=args.out)
-        if cfg.verb == "iv":
-            _emit(run_iv_sweep(cfg), cfg.out)
-        elif cfg.verb == "transient":
-            _emit(run_transient_verb(cfg), cfg.out)
-        elif cfg.verb == "osc-check":
-            _emit(run_osc_check(cfg), cfg.out)
-        elif cfg.verb == "gate":
-            _emit(run_gate_verb(cfg), cfg.out)
-        else:
-            csv_text, heatmap = run_map_verb(cfg)
-            _emit(csv_text, cfg.out)
-            sys.stdout.write(heatmap)
+        # built per call, so that a replaced module attribute is the one run
+        {"iv": run_iv_sweep, "transient": run_transient_verb,
+         "osc-check": run_osc_check, "gate": run_gate_verb,
+         "map": run_map_verb}[cfg.verb](cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -132,7 +132,7 @@ def step_device(p: DeviceParams, s: DeviceState, v_device: float, dt: float,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if math.isnan(v_device) or math.isinf(v_device):
+    if not math.isfinite(v_device):
         raise ValueError(f"non-finite device voltage: {v_device}")
 
     target = not s.conducting
@@ -160,8 +160,3 @@ def step_device(p: DeviceParams, s: DeviceState, v_device: float, dt: float,
 
 def device_resistance(p: DeviceParams, s: DeviceState) -> float:
     return p.r_on if s.conducting else p.r_off
-
-
-def default_device(t_actuate: float = DEFAULT_T_ACTUATE) -> DeviceParams:
-    """Device parameters of the reference emulator (600 ohm coil, 2.2/1.6 V)."""
-    return derive_device_params(EmulatorParams(), t_actuate=t_actuate)

@@ -214,9 +214,8 @@ def test_csv_export_schema():
     tr = run_transient(fig2b_circuit(SourceWaveform("constant", offset=1.0)),
                        dt=1e-4, t_end=0.001)
     buf = io.StringIO()
-    tr.to_csv(buf, header_lines=["seed = 0"])
+    tr.to_csv(buf)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == "# seed = 0"
-    assert lines[1] == "t,v_applied,v_device,v_out,conducting,current"
-    assert len(lines) == 2 + len(tr)
-    assert lines[2].split(",")[4] == "0"
+    assert lines[0] == "t,v_applied,v_device,v_out,conducting,current"
+    assert len(lines) == 1 + len(tr)
+    assert lines[1].split(",")[4] == "0"

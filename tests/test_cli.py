@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from voltmem import cli
 from voltmem.circuit import SeriesCircuit, digitize, run_transient
 from voltmem.cli import main
 from voltmem.config import (ConfigError, axis_points, load_config, serialize)
@@ -12,6 +13,21 @@ def write_config(tmp_path, doc, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
     return str(p)
+
+
+# small runs of every verb: the map has oscillating cells and the transient
+# writes the digitised column
+VERB_DOCS = {
+    "iv": {"sweep": {"points": 41}},
+    "transient": {"circuit": {"r1": 680.0, "dt": 1e-4, "t_end": 0.02},
+                  "emulator": {"r_int": 220.0},
+                  "source": {"kind": "constant", "offset": 5.0},
+                  "digitize": {"threshold": 2.0}},
+    "osc-check": {"sweep": {"param": "r_int", "values": [220.0, 5000.0]}},
+    "gate": {"circuit": {"v1": 1.9, "v2": 1.9, "v3": 0.0}},
+    "map": {"emulator": {"r_int": 220}, "circuit": {"r_common": 1000},
+            "sweep": {"v1": [-1, 6, 0.5], "v2": [-1, 6, 0.5], "v3": -1.9}},
+}
 
 
 class TestLoadConfig:
@@ -192,6 +208,29 @@ class TestVerbs:
                            for row, x in zip(plain[1:], logic)]
 
 
+class TestOutputSink:
+    @pytest.mark.parametrize("verb", sorted(VERB_DOCS))
+    def test_out_file_plus_stdout_equals_plain_stdout(self, tmp_path, capsys,
+                                                      verb):
+        cfg = write_config(tmp_path, VERB_DOCS[verb])
+        assert main([verb, "--config", cfg]) == 0
+        plain = capsys.readouterr().out
+        out = tmp_path / "o.csv"
+        assert main([verb, "--config", cfg, "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text.startswith("# resolved config:\n")
+        assert text + capsys.readouterr().out == plain
+        if verb == "map":
+            assert "*" in plain.split("M1 register gate map")[1]
+
+    def test_verbs_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_gate_verb", calls.append)
+        cfg = write_config(tmp_path, VERB_DOCS["gate"])
+        assert main(["gate", "--config", cfg]) == 0
+        assert [c.verb for c in calls] == ["gate"]
+
+
 class TestExitCodes:
     def test_config_error_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"emulator": {"r_int": -5}})
@@ -208,11 +247,31 @@ class TestExitCodes:
         assert main(["transient", "--config", cfg]) == 3
         assert "guard" in capsys.readouterr().err
 
-    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("existing", [None, b"earlier run\n"],
+                             ids=["absent", "existing"])
+    def test_resolution_guard_leaves_out_untouched(self, tmp_path, capsys,
+                                                   existing):
+        cfg = write_config(tmp_path, {
+            "circuit": {"dt": 1e-3, "t_end": 0.05},
+            "source": {"kind": "constant", "offset": 5.0}})
+        out = tmp_path / "o.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        assert main(["transient", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().out == ""
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == existing
+
+    @pytest.mark.parametrize("verb", ["iv", "transient", "map"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, verb):
+        cfg = write_config(tmp_path, VERB_DOCS[verb])
         out = str(tmp_path / "missing-dir" / "o.csv")
-        assert main(["iv", "--out", out]) == 2
-        err = capsys.readouterr().err
-        assert out in err and "Traceback" not in err
+        assert main([verb, "--config", cfg, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert out in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_seed_flag_overrides(self, tmp_path):
         out = tmp_path / "o.csv"
