@@ -12,10 +12,10 @@ from .circuit import (ResolutionError, SeriesCircuit, SourceWaveform, Trace,
                       digitize, run_transient, solve_series_divider)
 from .oscillation import (OscillationReport, detect_oscillation,
                           instability_lhs, is_unstable, onset_voltage)
-from .logic import (GateMap, GateResult, LogicCircuit, Phase, PhaseProgram,
+from .logic import (GateResult, LogicCircuit, Phase, PhaseProgram,
                     OSCILLATING_CODE, canonical_program, classify, gate_code,
-                    run_gate, run_sequence, solve_node, sweep_codes, sweep_grid,
-                    sweep_map, truth_table)
+                    relax_program, run_gate, run_sequence, solve_node,
+                    sweep_codes)
 from .config import ConfigError, RunConfig, load_config, serialize
 
 __version__ = "0.1.0"

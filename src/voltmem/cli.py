@@ -21,7 +21,7 @@ from .circuit import (ResolutionError, SeriesCircuit, SourceWaveform, digitize,
 from .config import ConfigError, RunConfig, axis_points
 from .device import DeviceState, derive_device_params, device_resistance, step_device
 from .logic import (GATE_NAMES, INPUT_PAIRS, OSCILLATING_CODE, LogicCircuit,
-                    canonical_program, run_gate, sweep_codes)
+                    relax_program, sweep_codes)
 from .oscillation import instability_lhs, is_unstable, onset_voltage
 
 _MAP_GLYPHS = "0123456789ABCDEF"
@@ -103,17 +103,17 @@ def run_osc_check(cfg: RunConfig) -> None:
 def run_gate_verb(cfg: RunConfig) -> None:
     circuit = LogicCircuit(m1=cfg.device, m2=cfg.device, r_common=cfg.r_common,
                            v_hold_level=cfg.v0)
-    prog = canonical_program(cfg.v1, cfg.v2, cfg.v3, v0=cfg.v0,
-                             duration=cfg.duration)
-    res = run_gate(circuit, prog)
+    s1, s2, cycled = relax_program(circuit, cfg.v1, cfg.v2, cfg.v3,
+                                   cfg.duration)
     with _output(cfg) as fh:
         fh.write("a,b,m1,m2\n")
-        for pair in INPUT_PAIRS:
-            s1, s2 = res.final_states[pair]
-            fh.write("%d,%d,%d,%d\n" % (pair[0], pair[1], s1, s2))
-        fh.write("code_m1 = %d (%s)\n" % (res.code_m1, res.label_m1))
-        fh.write("code_m2 = %d (%s)\n" % (res.code_m2, res.label_m2))
-        fh.write("oscillated = %s\n" % ("true" if res.oscillated else "false"))
+        for (a, b), m1, m2 in zip(INPUT_PAIRS, s1.tolist(), s2.tolist()):
+            fh.write("%d,%d,%d,%d\n" % (a, b, m1, m2))
+        for register, s in (("m1", s1), ("m2", s2)):
+            # input pair k = 2a+b is bit k of the code
+            code = int(np.packbits(s, bitorder="little")[0])
+            fh.write("code_%s = %d (%s)\n" % (register, code, GATE_NAMES[code]))
+        fh.write("oscillated = %s\n" % ("true" if cycled.any() else "false"))
 
 
 # CSV row ending by code_m1 * 16 + code_m2, and 256 for an oscillating cell

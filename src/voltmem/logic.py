@@ -1,5 +1,5 @@
-"""Two-memristor implication logic circuit: phase sequencing, gate codes,
-classification, and (V1, V2) sweep maps.
+"""Two-memristor implication logic circuit: the phase program, its
+relaxation kernel, gate codes and classification.
 
 Topology: M1 connects source node V1 to a shared node N, M2 connects V2 to N;
 N goes through the common resistor to source V3 and through switch S1 to
@@ -9,8 +9,13 @@ device; opening it engages V3 and lets the devices interact through N.
 States are relaxed quasi-statically inside each phase: solve the one-node
 network, apply the zero-delay threshold rule to both devices simultaneously,
 repeat until a fixed point or a revisited state (cycle = would-be oscillation).
-relax_phase does this for one state pair; sweep_codes does it on arrays for
-every cell and input pair of a (v1, v2) map at once.
+
+relax_program is the one kernel that `gate` and `map` run: it relaxes every
+(v1, v2) point and input pair at once on arrays; sweep_codes packs its final
+states into gate codes. The scalar chain solve_node -> relax_phase ->
+run_sequence -> run_gate is the oracle the tests check it against. It stays
+here because the benchmark in perfbench/ calls logic.run_gate as its map
+oracle and wraps logic.run_gate and logic.solve_node by name.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ GATE_NAMES = (
 )
 
 INPUT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+# source voltage of the init phase for an input bit 0 / 1
+INIT_LOW, INIT_HIGH = 0.0, 5.0
 
 
 @dataclass(frozen=True)
@@ -66,12 +74,10 @@ class PhaseProgram:
     """init -> hold -> calc -> hold schedule.
 
     The first phase is the initialisation phase: its V1/V2 are overridden per
-    input pair with init_low / init_high.
+    input pair with INIT_LOW / INIT_HIGH.
     """
 
     phases: Tuple[Phase, ...]
-    init_low: float = 0.0
-    init_high: float = 5.0
 
     def __post_init__(self):
         if len(self.phases) < 2:
@@ -101,15 +107,6 @@ class GateResult:
     label_m1: str
     label_m2: str
     oscillated: bool
-
-
-@dataclass(frozen=True)
-class GateMap:
-    v1_axis: np.ndarray
-    v2_axis: np.ndarray
-    v3: float
-    register: str
-    codes: np.ndarray  # shape (len(v1_axis), len(v2_axis)), OSCILLATING_CODE sentinel
 
 
 def solve_node(c: LogicCircuit, states: Tuple[bool, bool], v1: float, v2: float,
@@ -167,10 +164,8 @@ def run_sequence(c: LogicCircuit, prog: PhaseProgram,
         raise ValueError(f"inputs must be bits, got {inputs}")
     _check_durations(c, prog)
 
-    init = prog.phases[0]
-    init = replace(init,
-                   v1=prog.init_high if a else prog.init_low,
-                   v2=prog.init_high if b else prog.init_low)
+    init = replace(prog.phases[0], v1=INIT_HIGH if a else INIT_LOW,
+                   v2=INIT_HIGH if b else INIT_LOW)
     states = (False, False)
     oscillated = False
     for phase in (init,) + prog.phases[1:]:
@@ -196,44 +191,15 @@ def classify(code: int) -> str:
     return GATE_NAMES[code]
 
 
-def truth_table(code: int) -> Dict[Tuple[int, int], int]:
-    """Inverse of gate_code: the four output bits of a 0-15 code."""
-    if not 0 <= code <= 15:
-        raise ValueError(f"gate code out of range: {code}")
-    return {(a, b): (code >> (2 * a + b)) & 1 for a, b in INPUT_PAIRS}
-
-
-def swap_inputs_code(code: int) -> int:
-    """Code of the same function with inputs interchanged (bit1 <-> bit2)."""
-    kept = code & 0b1001
-    return kept | ((code & 0b0010) << 1) | ((code & 0b0100) >> 1)
-
-
 def run_gate(c: LogicCircuit, prog: PhaseProgram) -> GateResult:
     """Run all four input pairs and classify both result registers."""
-    finals: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    oscillated = False
-    for pair in INPUT_PAIRS:
-        s1, s2, cyc = run_sequence(c, prog, pair)
-        finals[pair] = (s1, s2)
-        oscillated = oscillated or cyc
-    code1 = gate_code({k: v[0] for k, v in finals.items()})
-    code2 = gate_code({k: v[1] for k, v in finals.items()})
-    return GateResult(final_states=finals, code_m1=code1, code_m2=code2,
+    runs = {pair: run_sequence(c, prog, pair) for pair in INPUT_PAIRS}
+    code1 = gate_code({pair: run[0] for pair, run in runs.items()})
+    code2 = gate_code({pair: run[1] for pair, run in runs.items()})
+    return GateResult(final_states={pair: run[:2] for pair, run in runs.items()},
+                      code_m1=code1, code_m2=code2,
                       label_m1=classify(code1), label_m2=classify(code2),
-                      oscillated=oscillated)
-
-
-def sweep_grid(c: LogicCircuit, v3: float, v1_axis, v2_axis,
-               duration: float = 10e-3) -> List[List[GateResult]]:
-    """GateResult for every (v1, v2) grid cell."""
-    v1_axis = np.asarray(v1_axis, dtype=float)
-    v2_axis = np.asarray(v2_axis, dtype=float)
-    if len(v1_axis) == 0 or len(v2_axis) == 0:
-        raise ValueError("sweep axes must be nonempty")
-    return [[run_gate(c, canonical_program(v1, v2, v3, v0=c.v_hold_level,
-                                           duration=duration))
-             for v2 in v2_axis] for v1 in v1_axis]
+                      oscillated=any(run[2] for run in runs.values()))
 
 
 def _switch(p: DeviceParams, conducting: np.ndarray, v) -> np.ndarray:
@@ -279,60 +245,42 @@ def _relax(c: LogicCircuit, s1: np.ndarray, s2: np.ndarray, phase: Phase):
     return s1, s2, cycled
 
 
+def relax_program(c: LogicCircuit, v1, v2, v3: float, duration: float = 10e-3
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Final (s1, s2, cycled) of the canonical program at every (v1, v2):
+    bool arrays of shape broadcast(v1, v2) + (4,), equal to run_sequence's
+    (s1, s2, oscillated) for input pair k = 2a+b at index k of the last axis.
+    The init phase holds the four pairs along that axis, so init and hold
+    relax four elements and calc every point."""
+    prog = canonical_program(np.asarray(v1, dtype=float)[..., None],
+                             np.asarray(v2, dtype=float)[..., None],
+                             v3, v0=c.v_hold_level, duration=duration)
+    _check_durations(c, prog)
+    a, b = np.array(INPUT_PAIRS, dtype=bool).T
+    init = replace(prog.phases[0], v1=np.where(a, INIT_HIGH, INIT_LOW),
+                   v2=np.where(b, INIT_HIGH, INIT_LOW))
+    s1 = s2 = cycled = np.zeros(4, dtype=bool)
+    for phase in (init,) + prog.phases[1:]:
+        s1, s2, cyc = _relax(c, s1, s2, phase)
+        cycled = cycled | cyc
+    return s1, s2, cycled
+
+
 def sweep_codes(c: LogicCircuit, v3: float, v1_axis, v2_axis,
                 duration: float = 10e-3) -> Tuple[np.ndarray, np.ndarray]:
     """Gate codes of both registers for every (v1, v2) grid cell at once.
 
-    Returns two uint8 arrays of shape (len(v1_axis), len(v2_axis)), equal to
-    the code_m1/code_m2 of sweep_grid's GateResults, with OSCILLATING_CODE
-    in both wherever any input pair cycled in any phase. The canonical
-    program runs with array voltages: the calc phase holds v1 along axis 0
-    and v2 along axis 1, the init phase the four input pairs along axis 2,
-    so init and hold relax four elements and calc the whole grid.
+    Returns two uint8 arrays of shape (len(v1_axis), len(v2_axis)), with
+    OSCILLATING_CODE in both wherever any input pair cycled in any phase.
     """
     v1_axis = np.asarray(v1_axis, dtype=float)
     v2_axis = np.asarray(v2_axis, dtype=float)
     if len(v1_axis) == 0 or len(v2_axis) == 0:
         raise ValueError("sweep axes must be nonempty")
-    prog = canonical_program(v1_axis[:, None, None], v2_axis[None, :, None],
-                             v3, v0=c.v_hold_level, duration=duration)
-    _check_durations(c, prog)
-    a, b = np.array(INPUT_PAIRS, dtype=bool).T
-    init = replace(prog.phases[0],
-                   v1=np.where(a, prog.init_high, prog.init_low),
-                   v2=np.where(b, prog.init_high, prog.init_low))
-    s1 = s2 = cycled = np.zeros(4, dtype=bool)
-    for phase in (init,) + prog.phases[1:]:
-        s1, s2, cyc = _relax(c, s1, s2, phase)
-        cycled = cycled | cyc
+    s1, s2, cycled = relax_program(c, v1_axis[:, None], v2_axis[None, :], v3,
+                                   duration)
     # input pair k = 2a+b is bit k of the code
     oscillated = cycled.any(axis=-1)
     return tuple(np.where(oscillated, OSCILLATING_CODE,
                           np.packbits(s, axis=-1, bitorder="little")[..., 0])
                  .astype(np.uint8) for s in (s1, s2))
-
-
-def sweep_map(c: LogicCircuit, v3: float, v1_axis, v2_axis,
-              register: str = "M1", grid: List[List[GateResult]] | None = None) -> GateMap:
-    """Gate-code map over (v1, v2) for one result register.
-
-    Cells whose relaxation cycled get the OSCILLATING_CODE sentinel rather
-    than being folded into a gate class. Without a grid the codes come from
-    sweep_codes; with one, from its GateResults.
-    """
-    if register not in ("M1", "M2"):
-        raise ValueError("register must be 'M1' or 'M2'")
-    v1_axis = np.asarray(v1_axis, dtype=float)
-    v2_axis = np.asarray(v2_axis, dtype=float)
-    if grid is None:
-        codes = sweep_codes(c, v3, v1_axis, v2_axis)[register == "M2"]
-    else:
-        codes = np.empty((len(v1_axis), len(v2_axis)), dtype=np.uint8)
-        for i, row in enumerate(grid):
-            for j, res in enumerate(row):
-                if res.oscillated:
-                    codes[i, j] = OSCILLATING_CODE
-                else:
-                    codes[i, j] = res.code_m1 if register == "M1" else res.code_m2
-    return GateMap(v1_axis=v1_axis, v2_axis=v2_axis, v3=v3,
-                   register=register, codes=codes)

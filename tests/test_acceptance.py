@@ -14,10 +14,11 @@ from voltmem.circuit import SeriesCircuit, SourceWaveform, run_transient
 from voltmem.cli import main
 from voltmem.device import EmulatorParams, derive_device_params, transition_frequency
 from voltmem.logic import (INPUT_PAIRS, OSCILLATING_CODE, LogicCircuit, Phase,
-                           classify, gate_code, relax_phase, swap_inputs_code,
-                           sweep_grid, sweep_map, truth_table)
+                           _relax, classify, gate_code, sweep_codes)
 from voltmem.oscillation import (detect_oscillation, instability_lhs,
                                  is_unstable, onset_voltage)
+
+from logic_oracle import swap_inputs_code, truth_table
 
 DEFAULT_DEVICE = derive_device_params(EmulatorParams())
 
@@ -39,10 +40,11 @@ def axis_01():
 
 
 @pytest.fixture(scope="module")
-def grid_v3_19(logic_circuit, axis_01):
+def codes_v3_19(logic_circuit, axis_01):
+    """code_m1 and code_m2 maps of the kernel that `map` runs, and its time."""
     t0 = time.time()
-    grid = sweep_grid(logic_circuit, -1.9, axis_01, axis_01)
-    return grid, time.time() - t0
+    codes = sweep_codes(logic_circuit, -1.9, axis_01, axis_01)
+    return codes, time.time() - t0
 
 
 def test_criterion_1_hysteresis(tmp_path):
@@ -100,16 +102,14 @@ def test_criterion_3_oracle_equivalence():
     report(3, ok, f"{agreed}/{checked} grid points agree, {elapsed:.1f} s")
 
 
-def test_criterion_4_gate_realization(logic_circuit, axis_01, grid_v3_19):
-    grid, t_19 = grid_v3_19
-    m1 = sweep_map(logic_circuit, -1.9, axis_01, axis_01, "M1", grid=grid)
-    m2 = sweep_map(logic_circuit, -1.9, axis_01, axis_01, "M2", grid=grid)
-    n_imp1 = int((m2.codes == 11).sum())
-    n_imp2 = int((m1.codes == 13).sum())
+def test_criterion_4_gate_realization(logic_circuit, axis_01, codes_v3_19):
+    (m1, m2), t_19 = codes_v3_19
+    n_imp1 = int((m2 == 11).sum())
+    n_imp2 = int((m1 == 13).sum())
     t0 = time.time()
-    m1_12 = sweep_map(logic_circuit, -1.2, axis_01, axis_01, "M1")
+    m1_12, _ = sweep_codes(logic_circuit, -1.2, axis_01, axis_01)
     t_12 = time.time() - t0
-    n_not_imp1 = int((m1_12.codes == 4).sum())
+    n_not_imp1 = int((m1_12 == 4).sum())
     ok = (n_imp1 > 0 and n_imp2 > 0 and n_not_imp1 > 0
           and t_19 < 120.0 and t_12 < 120.0)
     report(4, ok, f"V3=-1.9: IMP_1 cells={n_imp1}, IMP_2 cells={n_imp2} "
@@ -117,15 +117,13 @@ def test_criterion_4_gate_realization(logic_circuit, axis_01, grid_v3_19):
                   f"({t_12:.1f} s)")
 
 
-def test_criterion_5_diagonal_symmetry(logic_circuit, axis_01, grid_v3_19):
-    grid, _ = grid_v3_19
-    m1 = sweep_map(logic_circuit, -1.9, axis_01, axis_01, "M1", grid=grid)
-    m2 = sweep_map(logic_circuit, -1.9, axis_01, axis_01, "M2", grid=grid)
+def test_criterion_5_diagonal_symmetry(axis_01, codes_v3_19):
+    (m1, m2), _ = codes_v3_19
     mismatches = 0
     n = len(axis_01)
     for i in range(n):
         for j in range(n):
-            a, b = int(m1.codes[i, j]), int(m2.codes[j, i])
+            a, b = int(m1[i, j]), int(m2[j, i])
             if a == OSCILLATING_CODE or b == OSCILLATING_CODE:
                 mismatches += int(a != b)
             else:
@@ -150,15 +148,16 @@ def test_criterion_6_code_classification_oracle():
 
 
 def test_criterion_7_bistable_hold(logic_circuit):
+    # the kernel relaxes all four state pairs at once, as in `gate` and `map`
     hold = Phase(1.9, 1.9, 0.0, switch_closed=True, duration=10e-3)
+    init1, init2 = np.array(list(itertools.product((False, True), repeat=2))).T
+    s1, s2 = init1, init2
     ok = True
-    for init in itertools.product((False, True), repeat=2):
-        s = init
-        for _ in range(10_000):
-            s, cycled = relax_phase(logic_circuit, s, hold)
-            if cycled or s != init:
-                ok = False
-                break
+    for _ in range(10_000):
+        s1, s2, cycled = _relax(logic_circuit, s1, s2, hold)
+        if cycled.any() or (s1 != init1).any() or (s2 != init2).any():
+            ok = False
+            break
     report(7, ok, "10^4 hold relaxations preserve all four state pairs")
 
 

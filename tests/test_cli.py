@@ -6,7 +6,10 @@ import pytest
 from voltmem import cli
 from voltmem.circuit import SeriesCircuit, digitize, run_transient
 from voltmem.cli import main
-from voltmem.config import (ConfigError, axis_points, load_config, serialize)
+from voltmem.config import (ConfigError, axis_points, header_lines, load_config,
+                            serialize)
+from voltmem.logic import (INPUT_PAIRS, LogicCircuit, canonical_program,
+                           run_gate)
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -206,6 +209,36 @@ class TestVerbs:
         assert dig[0] == plain[0] + ",logic"
         assert dig[1:] == [row + ",%.9g" % x
                            for row, x in zip(plain[1:], logic)]
+
+
+# a settled gate, and one whose every input pair cycles in the calc phase
+GATE_DOCS = {
+    "settled": {"circuit": {"v1": 1.0, "v2": 5.0, "v3": -1.9}},
+    "oscillating": {"emulator": {"r_int": 100},
+                    "circuit": {"r_common": 500, "v1": -2, "v2": -2, "v3": 5}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_DOCS))
+def test_gate_bytes_match_oracle_text(tmp_path, capsys, name):
+    doc = GATE_DOCS[name]
+    cfg = load_config(json.dumps(dict(doc, verb="gate")))
+    c = LogicCircuit(m1=cfg.device, m2=cfg.device, r_common=cfg.r_common,
+                     v_hold_level=cfg.v0)
+    res = run_gate(c, canonical_program(cfg.v1, cfg.v2, cfg.v3, v0=cfg.v0,
+                                        duration=cfg.duration))
+    rows = ["%d,%d,%d,%d\n" % (pair + res.final_states[pair])
+            for pair in INPUT_PAIRS]
+    if name == "oscillating":
+        assert rows == ["0,0,1,1\n", "0,1,1,1\n", "1,0,1,1\n", "1,1,0,0\n"]
+        assert res.label_m1 == res.label_m2 == "NAND" and res.oscillated
+    want = ("".join(f"# {line}\n" for line in header_lines(cfg))
+            + "a,b,m1,m2\n" + "".join(rows)
+            + f"code_m1 = {res.code_m1} ({res.label_m1})\n"
+            + f"code_m2 = {res.code_m2} ({res.label_m2})\n"
+            + f"oscillated = {'true' if res.oscillated else 'false'}\n")
+    assert main(["gate", "--config", write_config(tmp_path, doc)]) == 0
+    assert capsys.readouterr().out == want
 
 
 class TestOutputSink:

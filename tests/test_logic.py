@@ -8,8 +8,9 @@ from voltmem.device import DeviceParams, EmulatorParams, derive_device_params
 from voltmem.logic import (GATE_NAMES, INPUT_PAIRS, OSCILLATING_CODE,
                            LogicCircuit, Phase, PhaseProgram,
                            canonical_program, classify, gate_code, relax_phase,
-                           run_gate, run_sequence, solve_node, sweep_grid,
-                           sweep_map, swap_inputs_code, truth_table)
+                           run_gate, run_sequence, solve_node)
+
+from logic_oracle import sweep_grid, sweep_map, swap_inputs_code, truth_table
 
 DEFAULT_DEVICE = derive_device_params(EmulatorParams())  # r_int=680
 

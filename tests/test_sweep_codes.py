@@ -1,24 +1,19 @@
-"""The array gate-map kernel against the scalar oracle, and the map verb's
-CSV and heatmap bytes against text built from the oracle."""
+"""The array relaxation kernel against the scalar oracle, state by state
+and code by code, and the map verb's CSV and heatmap bytes against text
+built from the oracle."""
 
 import json
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from voltmem.cli import main
 from voltmem.config import axis_points, header_lines, load_config
 from voltmem.device import DeviceParams, EmulatorParams, derive_device_params
-from voltmem.logic import (OSCILLATING_CODE, LogicCircuit, sweep_codes,
-                           sweep_grid, sweep_map)
+from voltmem.logic import (INPUT_PAIRS, LogicCircuit, canonical_program,
+                           relax_program, run_sequence, sweep_codes)
 
-
-def oracle_codes(grid):
-    """code_m1 and code_m2 arrays of sweep_grid's results, 255 if oscillated."""
-    return tuple(
-        np.array([[OSCILLATING_CODE if res.oscillated else getattr(res, name)
-                   for res in row] for row in grid], dtype=np.uint8)
-        for name in ("code_m1", "code_m2"))
+from logic_oracle import grid_codes, sweep_grid
 
 
 def _log_uniform(lo, hi):
@@ -67,13 +62,47 @@ def circuits(draw):
 @given(c=circuits(), v3=st.floats(-6.0, 6.0), v1_axis=axes(), v2_axis=axes())
 def test_kernel_matches_scalar_oracle(c, v3, v1_axis, v2_axis):
     got = sweep_codes(c, v3, v1_axis, v2_axis)
-    want = oracle_codes(sweep_grid(c, v3, v1_axis, v2_axis))
+    want = grid_codes(sweep_grid(c, v3, v1_axis, v2_axis))
     for g, w in zip(got, want):
         assert g.dtype == np.uint8
         np.testing.assert_array_equal(g, w)
-    for register, w in zip(("M1", "M2"), want):
-        np.testing.assert_array_equal(
-            sweep_map(c, v3, v1_axis, v2_axis, register).codes, w)
+
+
+@st.composite
+def points(draw):
+    """The (v1, v2) of one relax_program call: two scalars, as the gate verb
+    passes, or two axes that broadcast to a grid, as sweep_codes passes."""
+    if draw(st.booleans()):
+        return draw(st.floats(-6.0, 6.0)), draw(st.floats(-6.0, 6.0))
+    return (np.array(draw(axes()))[:, None], np.array(draw(axes()))[None, :])
+
+
+# r_int 100 devices under a 500 ohm common resistor, v1 = v2 = -2 V against
+# v3 = 5 V: every input pair cycles in the calc phase
+OSCILLATING_DEVICE = derive_device_params(EmulatorParams(r_int=100.0))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(c=circuits(), v3=st.floats(-6.0, 6.0), v1_v2=points())
+@example(c=LogicCircuit(m1=OSCILLATING_DEVICE, m2=OSCILLATING_DEVICE,
+                        r_common=500.0), v3=5.0, v1_v2=(-2.0, -2.0))
+def test_kernel_states_match_scalar_oracle(c, v3, v1_v2):
+    """Final states too, not only codes: a cycled pair's states are what
+    gate prints, while its map cell is 255 whatever they are."""
+    v1, v2 = v1_v2
+    shape = np.broadcast_shapes(np.shape(v1), np.shape(v2))
+    got = relax_program(c, v1, v2, v3)
+    for arr in got:
+        assert arr.dtype == bool and arr.shape == shape + (4,)
+    v1, v2 = np.broadcast_to(v1, shape), np.broadcast_to(v2, shape)
+    for cell in np.ndindex(shape):
+        prog = canonical_program(float(v1[cell]), float(v2[cell]), v3,
+                                 v0=c.v_hold_level)
+        for k, pair in enumerate(INPUT_PAIRS):
+            s1, s2, oscillated = run_sequence(c, prog, pair)
+            assert tuple(bool(arr[cell + (k,)]) for arr in got) == (
+                bool(s1), bool(s2), oscillated), (cell, pair)
 
 
 # r_int 220 devices under a 1 kohm common resistor at V3 = -1.9 V: a map
