@@ -160,7 +160,6 @@ def run_transient(c: SeriesCircuit, dt: float, t_end: float, seed: int = 0) -> T
                  conducting=conducting, current=current)
 
 
-def digitize(tr: Trace, threshold: float = 2.5, high: float = 5.0,
-             low: float = 0.0) -> np.ndarray:
+def digitize(tr: Trace, threshold: float, high: float, low: float) -> np.ndarray:
     """Comparator output per sample: high iff v_device > threshold (strict)."""
     return np.where(tr.v_device > threshold, high, low)

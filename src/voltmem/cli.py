@@ -9,6 +9,7 @@ Identical config + seed gives byte-identical output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -89,9 +90,7 @@ def run_osc_check(cfg: RunConfig) -> None:
             if cfg.sweep_param == "r1":
                 d, r1 = cfg.device, val
             else:
-                d = replace(derive_device_params(replace(cfg.emulator, r_int=val)),
-                            t_actuate=cfg.device.t_actuate,
-                            jitter_sigma=cfg.device.jitter_sigma)
+                d = derive_device_params(replace(cfg.emulator, r_int=val))
                 r1 = cfg.r1
             lines.append("%.9g,%.9g,%.9g,%d\n" % (
                 val, onset_voltage(d, r1), instability_lhs(d, r1),
@@ -185,12 +184,18 @@ def main(argv=None) -> int:
         {"iv": run_iv_sweep, "transient": run_transient_verb,
          "osc-check": run_osc_check, "gate": run_gate_verb,
          "map": run_map_verb}[cfg.verb](cfg)
+        sys.stdout.flush()
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except ResolutionError as e:
         print(f"numerical guard violation: {e}", file=sys.stderr)
         return 3
+    except OSError as e:  # a failed write to stdout (`--out` is guarded)
+        print(f"cannot write to stdout: {e.strerror}", file=sys.stderr)
+        # the interpreter's final flush of what is left then goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return 0
 
 

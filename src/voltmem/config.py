@@ -287,8 +287,8 @@ def load_config_dict(raw: dict) -> RunConfig:
     _want((cfg.sweep_param is None) == (cfg.sweep_values is None),
           cfg.sweep_param, "sweep.param", "given together with sweep.values")
     if cfg.sweep_param == "r_int":
-        # the sweep derives the device from the emulator at each r_int and
-        # keeps only t_actuate and jitter_sigma of the device block
+        # the sweep derives the device from the emulator at each r_int; its
+        # printed values never read t_actuate or jitter_sigma
         for key, val in _block(raw, "device").items():
             _want(key in ("t_actuate", "jitter_sigma")
                   or val == getattr(derived, key), val, f"device.{key}",

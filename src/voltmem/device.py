@@ -10,9 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-DEFAULT_T_ACTUATE = 0.5e-3  # seconds; reed-relay order of magnitude
-DEFAULT_JITTER_SIGMA = 0.0
-
 
 @dataclass(frozen=True)
 class DeviceParams:
@@ -24,8 +21,8 @@ class DeviceParams:
     v_hold_pos: float
     v_th_neg: float
     v_hold_neg: float
-    t_actuate: float = DEFAULT_T_ACTUATE
-    jitter_sigma: float = DEFAULT_JITTER_SIGMA
+    t_actuate: float = 0.5e-3  # seconds; reed-relay order of magnitude
+    jitter_sigma: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.r_on < self.r_off:
@@ -76,9 +73,7 @@ class DeviceState:
     pending_offsets: tuple[float, float] = (0.0, 0.0)
 
 
-def derive_device_params(e: EmulatorParams,
-                         t_actuate: float = DEFAULT_T_ACTUATE,
-                         jitter_sigma: float = DEFAULT_JITTER_SIGMA) -> DeviceParams:
+def derive_device_params(e: EmulatorParams) -> DeviceParams:
     """Map emulator components to device parameters.
 
     OFF resistance is the coil alone; ON puts the internal resistor in
@@ -93,8 +88,6 @@ def derive_device_params(e: EmulatorParams,
         v_hold_pos=e.v_drop_out,
         v_th_neg=-e.v_pull_in,
         v_hold_neg=-e.v_drop_out,
-        t_actuate=t_actuate,
-        jitter_sigma=jitter_sigma,
     )
 
 
@@ -107,8 +100,6 @@ def coil_impedance(e: EmulatorParams, freq: float) -> float:
 
 def transition_frequency(e: EmulatorParams) -> float:
     """Frequency where resistive and inductive contributions are equal."""
-    if e.l_coil <= 0:
-        raise ValueError("l_coil must be positive")
     return e.r_coil / (2.0 * math.pi * e.l_coil)
 
 

@@ -25,8 +25,6 @@ class OscillationReport:
 
 def onset_voltage(d: DeviceParams, r1: float) -> float:
     """Applied voltage at which the OFF-state device first reaches threshold."""
-    if d.r_off <= 0:
-        raise ValueError("r_off must be positive")
     return (r1 + d.r_off) / d.r_off * d.v_th_pos
 
 
@@ -37,23 +35,19 @@ def instability_lhs(d: DeviceParams, r1: float) -> float:
 
 def is_unstable(d: DeviceParams, r1: float) -> bool:
     """True if the ON state collapses below the hold level (oscillation regime)."""
-    if d.r_on <= 0 or d.r_off <= 0:
-        raise ValueError("resistances must be positive")
     return instability_lhs(d, r1) < d.v_hold_pos
 
 
-def detect_oscillation(tr: Trace, settle_fraction: float = 0.2) -> OscillationReport:
-    """Count conduction-state transitions after a settle window.
+def detect_oscillation(tr: Trace) -> OscillationReport:
+    """Count conduction-state transitions after the first fifth of the trace.
 
     Oscillating means at least 4 transitions in the analysis window; a single
     switching event is not an oscillation.
     """
     if len(tr) == 0:
         raise ValueError("empty trace")
-    if not 0 <= settle_fraction < 1:
-        raise ValueError("settle_fraction must be in [0, 1)")
 
-    start = int(len(tr) * settle_fraction)
+    start = int(len(tr) * 0.2)
     window = tr.conducting[start:]
     transitions = int(np.count_nonzero(window[1:] != window[:-1]))
     oscillating = transitions >= 4

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -310,3 +314,56 @@ class TestExitCodes:
         out = tmp_path / "o.csv"
         assert main(["iv", "--seed", "9", "--out", str(out)]) == 0
         assert '"seed": 9' in out.read_text()
+
+
+def run_child(tmp_path, argv, stdout):
+    """Run `python -m voltmem.cli` with this checkout's sources in a child
+    whose stdout is block-buffered, as in a shell."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    return subprocess.run([sys.executable, "-m", "voltmem.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          cwd=tmp_path, text=True)
+
+
+def run_to_closed_pipe(tmp_path, argv):
+    # the read end is closed before the child writes, so its first write to
+    # stdout fails; a `| head` race hides that whenever the output fits the
+    # pipe buffer
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return run_child(tmp_path, argv, write_end)
+    finally:
+        os.close(write_end)
+
+
+class TestStdoutFailure:
+    """A failed write to stdout exits 2 with one line on stderr: no
+    traceback, and no `Exception ignored` from the interpreter's exit."""
+
+    @pytest.mark.parametrize("verb", sorted(VERB_DOCS))
+    def test_closed_pipe_exit_2(self, tmp_path, verb):
+        proc = run_to_closed_pipe(
+            tmp_path, [verb, "--config", write_config(tmp_path, VERB_DOCS[verb])])
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["cannot write to stdout: Broken pipe"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs the /dev/full device")
+    def test_full_device_exit_2(self, tmp_path):
+        with open("/dev/full", "w") as full:
+            proc = run_child(tmp_path, ["iv"], full)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "cannot write to stdout: No space left on device"]
+
+    def test_map_heatmap_failure_leaves_complete_out(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, VERB_DOCS["map"])
+        want = tmp_path / "want.csv"
+        assert main(["map", "--config", cfg, "--out", str(want)]) == 0
+        proc = run_to_closed_pipe(tmp_path, ["map", "--config", cfg,
+                                             "--out", "got.csv"])
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["cannot write to stdout: Broken pipe"]
+        assert (tmp_path / "got.csv").read_bytes() == want.read_bytes()

@@ -62,8 +62,7 @@ class TestDetect:
 
     def test_square_wave_frequency_and_duty(self):
         # 2 ms period on a 0.1 ms grid
-        rep = detect_oscillation(square_trace(20, 4000, 1e-4),
-                                 settle_fraction=0.0)
+        rep = detect_oscillation(square_trace(20, 4000, 1e-4))
         assert rep.oscillating
         assert rep.frequency_estimate == pytest.approx(500.0, rel=0.01)
         assert rep.duty_cycle == pytest.approx(0.5, abs=0.01)
@@ -82,13 +81,6 @@ class TestDetect:
                           source=SourceWaveform("constant", offset=5.0))
         rep = detect_oscillation(run_transient(c, dt=1e-4, t_end=0.05))
         assert not rep.oscillating
-
-    def test_settle_fraction_bounds(self):
-        tr = square_trace(20, 100, 1e-4)
-        with pytest.raises(ValueError):
-            detect_oscillation(tr, settle_fraction=1.0)
-        with pytest.raises(ValueError):
-            detect_oscillation(tr, settle_fraction=-0.1)
 
 
 def test_oracle_equivalence_small_grid():
