@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceParams, DeviceState, device_resistance, step_device
+from .device import DeviceParams, condition_holds
 
 
 _CSV_CHUNK_ROWS = 4096
@@ -116,19 +116,36 @@ class Trace:
             fh.write("".join([fmt % row for row in rows]))
 
 
-def solve_series_divider(r1: float, r_m: float, v: float):
-    """Voltage across the device and loop current of the series divider."""
+def solve_series_divider(r1: float, r_m: float, v):
+    """Device voltage and loop current of the series divider; v may be an array."""
     total = r1 + r_m
     if total <= 0:
         raise ValueError("r1 + r_m must be positive")
     return v * r_m / total, v / total
 
 
+def _first(mask, lo: int, hi: int, size: int = 64) -> int:
+    """First sample in [lo, hi) that `mask(a, b)`, a bool array over samples
+    a..b-1, sets; hi if none. Scans blocks that double in size."""
+    while lo < hi:
+        top = min(lo + size, hi)
+        found = mask(lo, top)
+        k = int(found.argmax())
+        if found[k]:
+            return lo + k
+        lo, size = top, 2 * size
+    return hi
+
+
 def run_transient(c: SeriesCircuit, dt: float, t_end: float, seed: int = 0) -> Trace:
     """Fixed-timestep transient from the OFF state.
 
     Each row records the divider solved with the resistance in effect at that
-    instant; the device state is then stepped for the next sample.
+    instant. The trace equals, bit for bit, stepping `device.step_device` once
+    per sample from OFF, as tests/transient_oracle.py does. The loop runs once
+    per switching onset: it finds the first sample where the condition holds,
+    then switches if the condition keeps holding for `hold` samples with that
+    onset's jitter offsets, or else resumes one sample after the break.
     """
     if not 0 < dt <= t_end:
         raise ValueError("need 0 < dt <= t_end")
@@ -143,19 +160,51 @@ def run_transient(c: SeriesCircuit, dt: float, t_end: float, seed: int = 0) -> T
     bad = ~np.isfinite(v_applied)
     if bad.any():
         raise ValueError(f"non-finite source voltage at t={t[np.argmax(bad)]}")
-    v_device = np.empty(n)
-    conducting = np.zeros(n, dtype=bool)
-    current = np.empty(n)
+    v_device, current = np.empty(n), np.empty(n)
+    conducting = np.empty(n, dtype=bool)
 
-    state = DeviceState(conducting=False)
-    for k in range(n):
-        r_m = device_resistance(c.device, state)
-        v_m, i = solve_series_divider(c.r1, r_m, v_applied[k])
-        v_device[k] = v_m
-        conducting[k] = state.conducting
-        current[k] = i
-        state = step_device(c.device, state, v_m, dt, rng)
+    p, sigma = c.device, c.device.jitter_sigma
+    # step_device restarts pending_elapsed from 0.0 at each onset and adds dt
+    # per step until it reaches t_actuate; n + 1 steps fit in no run
+    hold, elapsed = 1, 0.0 + dt
+    while not elapsed >= p.t_actuate and hold <= n:
+        hold, elapsed = hold + 1, elapsed + dt
+    # step_device draws an offset pair (two rng.normal calls) on each step
+    # that starts with no switch pending; batches give the same stream
+    drawn = np.empty((0, 2))  # pairs drawn but not yet used by a step
 
+    def offsets(a, b):  # unused pairs a..b-1, one per step with no switch pending
+        nonlocal drawn
+        if not sigma > 0:
+            return 0.0, 0.0
+        if b > len(drawn):
+            more = rng.normal(0.0, sigma, size=(max(b, 2 * len(drawn)) - len(drawn), 2))
+            drawn = np.concatenate([drawn, more])
+        return drawn[a:b, 0], drawn[a:b, 1]
+
+    def holds(a, b, d):  # rows a..b-1 at this state, rewritten if it ends first
+        v_m, i = solve_series_divider(c.r1, p.r_on if state else p.r_off,
+                                      v_applied[a:b])
+        v_device[a:b], current[a:b], conducting[a:b] = v_m, i, state
+        return condition_holds(p, state, v_m, d)
+
+    state, pos = False, 0
+    while pos < n:
+        onset = _first(lambda a, b: holds(a, b, offsets(a - pos, b - pos)), pos, n)
+        if onset == n:
+            break
+        d = offsets(onset - pos, onset - pos + 1)
+        drawn = drawn[onset - pos + 1:]
+        end = min(onset + hold, n)
+        broke = _first(lambda a, b: ~holds(a, b, d), onset + 1, end)
+        if broke < end:
+            pos = broke + 1
+        else:  # the switch; past the last row it changes nothing
+            state, pos = not state, end
+
+    bad = ~np.isfinite(v_device)
+    if bad.any():
+        raise ValueError(f"non-finite device voltage: {v_device[np.argmax(bad)]}")
     return Trace(dt=dt, t=t, v_applied=v_applied, v_device=v_device,
                  conducting=conducting, current=current)
 

@@ -103,13 +103,13 @@ def transition_frequency(e: EmulatorParams) -> float:
     return e.r_coil / (2.0 * math.pi * e.l_coil)
 
 
-def _condition_holds(p: DeviceParams, conducting: bool, v: float,
-                     offsets: tuple[float, float]) -> bool:
+def condition_holds(p: DeviceParams, conducting: bool, v, offsets):
+    """Whether the state's switching condition holds at v (floats or arrays)."""
     d1, d2 = offsets
     if conducting:
         # drop-out: bias inside the sub-hold window releases the relay
-        return (p.v_hold_neg + d1) < v < (p.v_hold_pos + d2)
-    return v > (p.v_th_pos + d1) or v < (p.v_th_neg + d2)
+        return ((p.v_hold_neg + d1) < v) & (v < (p.v_hold_pos + d2))
+    return (v > (p.v_th_pos + d1)) | (v < (p.v_th_neg + d2))
 
 
 def step_device(p: DeviceParams, s: DeviceState, v_device: float, dt: float,
@@ -118,8 +118,9 @@ def step_device(p: DeviceParams, s: DeviceState, v_device: float, dt: float,
 
     A switching condition must hold continuously for t_actuate before the
     state flips; leaving the condition resets the accumulator (bistable
-    region retains state). rng is consulted only when jitter_sigma > 0,
-    one draw per threshold at each condition onset.
+    region retains state). When jitter_sigma > 0, every step that starts with
+    no switch pending draws one rng offset per threshold, whether or not the
+    condition then holds; a pending switch keeps its onset's offsets.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -136,7 +137,7 @@ def step_device(p: DeviceParams, s: DeviceState, v_device: float, dt: float,
     else:
         offsets = (0.0, 0.0)
 
-    if not _condition_holds(p, s.conducting, v_device, offsets):
+    if not condition_holds(p, s.conducting, v_device, offsets):
         if s.pending_target is None and s.pending_elapsed == 0.0:
             return s
         return replace(s, pending_target=None, pending_elapsed=0.0,
