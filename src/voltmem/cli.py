@@ -102,8 +102,7 @@ def run_osc_check(cfg: RunConfig) -> None:
 def run_gate_verb(cfg: RunConfig) -> None:
     circuit = LogicCircuit(m1=cfg.device, m2=cfg.device, r_common=cfg.r_common,
                            v_hold_level=cfg.v0)
-    s1, s2, cycled = relax_program(circuit, cfg.v1, cfg.v2, cfg.v3,
-                                   cfg.duration)
+    s1, s2, cycled = relax_program(circuit, cfg.v1, cfg.v2, cfg.v3)
     with _output(cfg) as fh:
         fh.write("a,b,m1,m2\n")
         for (a, b), m1, m2 in zip(INPUT_PAIRS, s1.tolist(), s2.tolist()):
@@ -131,7 +130,7 @@ def run_map_verb(cfg: RunConfig) -> None:
                            v_hold_level=cfg.v0)
     v1_axis = axis_points(cfg.v1_axis)
     v2_axis = axis_points(cfg.v2_axis)
-    codes = sweep_codes(circuit, cfg.v3, v1_axis, v2_axis, cfg.duration)
+    codes = sweep_codes(circuit, cfg.v3, v1_axis, v2_axis)
 
     code_m1 = codes[0].astype(np.intp)
     ends = np.where(code_m1 == OSCILLATING_CODE, 256, code_m1 * 16 + codes[1])

@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple
 from .device import DeviceParams, EmulatorParams, derive_device_params
 from .circuit import SourceWaveform
 from .logic import LogicCircuit
+from .oscillation import instability_lhs, onset_voltage
 
 VERBS = ("iv", "transient", "osc-check", "gate", "map")
 
@@ -279,6 +280,12 @@ def load_config_dict(raw: dict) -> RunConfig:
         _want(math.isfinite(peak * device.r_off), peak,
               f"source peak voltage ({terms})", "small enough that its product "
               f"with device.r_off={device.r_off} is finite")
+        _want(math.isfinite(peak / (cfg.r1 + device.r_on)), peak,
+              f"source peak voltage ({terms})", "small enough that its quotient "
+              f"by circuit.r1={cfg.r1} + device.r_on={device.r_on} is finite")
+    if verb == "iv":
+        _want(math.isfinite(cfg.iv_amplitude / device.r_on), cfg.iv_amplitude,
+              "sweep.amplitude", f"small enough for device.r_on={device.r_on}")
     if verb in _GM:
         _build("circuit (r_common, v0)", LogicCircuit, m1=device, m2=device,
                r_common=cfg.r_common, v_hold_level=cfg.v0)
@@ -294,14 +301,21 @@ def load_config_dict(raw: dict) -> RunConfig:
                   or val == getattr(derived, key), val, f"device.{key}",
                   f"left at its derived value {getattr(derived, key)!r} "
                   "when sweep.param is 'r_int'")
-    # each swept value must pass the check of the key it stands in for
+    # each swept value must pass the check of the key it stands in for, and
+    # osc-check prints its closed forms at each (value, device, r1) point
+    where = "sweep.values" if cfg.sweep_values else "circuit.r1"
+    points = [] if cfg.sweep_values else [(cfg.r1, device, cfg.r1)]
     for val in cfg.sweep_values or ():
         if cfg.sweep_param == "r1":
             r1 = next(k for k in _keys(verb, "circuit") if k.name == "r1")
-            r1.value(val, "sweep.values")
+            points.append((val, device, r1.value(val, where)))
         else:
-            _build("sweep.values", lambda: derive_device_params(
-                replace(emulator, r_int=val)))
+            points.append((val, _build(where, lambda: derive_device_params(
+                replace(emulator, r_int=val))), cfg.r1))
+    for val, d, r1 in points if verb in _OSC else ():
+        _want(math.isfinite(onset_voltage(d, r1))
+              and math.isfinite(instability_lhs(d, r1)), val, where,
+              "a value at which onset_voltage and instability_lhs are finite")
     return cfg
 
 

@@ -11,11 +11,12 @@ network, apply the zero-delay threshold rule to both devices simultaneously,
 repeat until a fixed point or a revisited state (cycle = would-be oscillation).
 
 relax_program is the one kernel that `gate` and `map` run: it relaxes every
-(v1, v2) point and input pair at once on arrays; sweep_codes packs its final
-states into gate codes. The scalar chain solve_node -> relax_phase ->
-run_sequence -> run_gate is the oracle the tests check it against. It stays
-here because the benchmark in perfbench/ calls logic.run_gate as its map
-oracle and wraps logic.run_gate and logic.solve_node by name.
+(v1, v2) point and input pair at once on arrays through solve_node and
+device.condition_holds, and reads no phase duration (config loading checks
+it); sweep_codes packs its final states into gate codes. The scalar chain
+_threshold_update -> relax_phase -> run_sequence -> run_gate, sharing
+solve_node, is its oracle in the tests and in perfbench/, which wraps
+logic.run_gate and logic.solve_node by name.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .device import DeviceParams
+from .device import DeviceParams, condition_holds
 
 # reserved map code for cells whose relaxation cycles instead of settling
 OSCILLATING_CODE = 255
@@ -111,12 +112,13 @@ class GateResult:
 
 def solve_node(c: LogicCircuit, states: Tuple[bool, bool], v1: float, v2: float,
                v3: float, switch_closed: bool) -> Tuple[float, float, float]:
-    """Node voltage and per-device voltages of the shared-node network."""
+    """Node voltage and per-device voltages of the shared-node network; each
+    state is a bool or a bool array that broadcasts against the voltages."""
     if switch_closed:
         return 0.0, v1, v2
-    r_m1 = c.m1.r_on if states[0] else c.m1.r_off
-    r_m2 = c.m2.r_on if states[1] else c.m2.r_off
-    g1, g2, g3 = 1.0 / r_m1, 1.0 / r_m2, 1.0 / c.r_common
+    g1 = np.where(states[0], 1.0 / c.m1.r_on, 1.0 / c.m1.r_off)
+    g2 = np.where(states[1], 1.0 / c.m2.r_on, 1.0 / c.m2.r_off)
+    g3 = 1.0 / c.r_common
     v_n = (v1 * g1 + v2 * g2 + v3 * g3) / (g1 + g2 + g3)
     return v_n, v1 - v_n, v2 - v_n
 
@@ -149,20 +151,12 @@ def relax_phase(c: LogicCircuit, states: Tuple[bool, bool],
         states = nxt
 
 
-def _check_durations(c: LogicCircuit, prog: PhaseProgram) -> None:
-    min_duration = 10.0 * max(c.m1.t_actuate, c.m2.t_actuate)
-    if any(ph.duration < min_duration for ph in prog.phases):
-        raise ValueError(f"phase durations must be >= {min_duration} "
-                         "(10x the actuation delay)")
-
-
 def run_sequence(c: LogicCircuit, prog: PhaseProgram,
                  inputs: Tuple[int, int]) -> Tuple[int, int, bool]:
     """Run the full phase program for one input pair; returns (s1, s2, oscillated)."""
     a, b = inputs
     if a not in (0, 1) or b not in (0, 1):
         raise ValueError(f"inputs must be bits, got {inputs}")
-    _check_durations(c, prog)
 
     init = replace(prog.phases[0], v1=INIT_HIGH if a else INIT_LOW,
                    v2=INIT_HIGH if b else INIT_LOW)
@@ -205,8 +199,8 @@ def run_gate(c: LogicCircuit, prog: PhaseProgram) -> GateResult:
 def _switch(p: DeviceParams, conducting: np.ndarray, v) -> np.ndarray:
     # _threshold_update over arrays
     return np.where(conducting,
-                    np.logical_not((p.v_hold_neg < v) & (v < p.v_hold_pos)),
-                    (v > p.v_th_pos) | (v < p.v_th_neg))
+                    np.logical_not(condition_holds(p, True, v, (0.0, 0.0))),
+                    condition_holds(p, False, v, (0.0, 0.0)))
 
 
 def _relax(c: LogicCircuit, s1: np.ndarray, s2: np.ndarray, phase: Phase):
@@ -223,15 +217,9 @@ def _relax(c: LogicCircuit, s1: np.ndarray, s2: np.ndarray, phase: Phase):
     seen = np.uint8(1) << state
     active = np.ones(shape, dtype=bool)
     cycled = np.zeros(shape, dtype=bool)
-    v_m1, v_m2 = phase.v1, phase.v2    # switch closed: the full source voltage
-    g3 = 1.0 / c.r_common
     for _ in range(4):
-        if not phase.switch_closed:
-            # solve_node's expression, in its order, so floats match bit for bit
-            g1 = np.where(s1, 1.0 / c.m1.r_on, 1.0 / c.m1.r_off)
-            g2 = np.where(s2, 1.0 / c.m2.r_on, 1.0 / c.m2.r_off)
-            v_n = (phase.v1 * g1 + phase.v2 * g2 + phase.v3 * g3) / (g1 + g2 + g3)
-            v_m1, v_m2 = phase.v1 - v_n, phase.v2 - v_n
+        _, v_m1, v_m2 = solve_node(c, (s1, s2), phase.v1, phase.v2, phase.v3,
+                                   phase.switch_closed)
         n1, n2 = _switch(c.m1, s1, v_m1), _switch(c.m2, s2, v_m2)
         nxt = (n1.view(np.uint8) << 1) | n2.view(np.uint8)
         revisit = ((seen >> nxt) & 1).view(bool) & active
@@ -245,7 +233,7 @@ def _relax(c: LogicCircuit, s1: np.ndarray, s2: np.ndarray, phase: Phase):
     return s1, s2, cycled
 
 
-def relax_program(c: LogicCircuit, v1, v2, v3: float, duration: float = 10e-3
+def relax_program(c: LogicCircuit, v1, v2, v3: float
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Final (s1, s2, cycled) of the canonical program at every (v1, v2):
     bool arrays of shape broadcast(v1, v2) + (4,), equal to run_sequence's
@@ -254,8 +242,7 @@ def relax_program(c: LogicCircuit, v1, v2, v3: float, duration: float = 10e-3
     relax four elements and calc every point."""
     prog = canonical_program(np.asarray(v1, dtype=float)[..., None],
                              np.asarray(v2, dtype=float)[..., None],
-                             v3, v0=c.v_hold_level, duration=duration)
-    _check_durations(c, prog)
+                             v3, v0=c.v_hold_level)
     a, b = np.array(INPUT_PAIRS, dtype=bool).T
     init = replace(prog.phases[0], v1=np.where(a, INIT_HIGH, INIT_LOW),
                    v2=np.where(b, INIT_HIGH, INIT_LOW))
@@ -266,8 +253,8 @@ def relax_program(c: LogicCircuit, v1, v2, v3: float, duration: float = 10e-3
     return s1, s2, cycled
 
 
-def sweep_codes(c: LogicCircuit, v3: float, v1_axis, v2_axis,
-                duration: float = 10e-3) -> Tuple[np.ndarray, np.ndarray]:
+def sweep_codes(c: LogicCircuit, v3: float, v1_axis, v2_axis
+                ) -> Tuple[np.ndarray, np.ndarray]:
     """Gate codes of both registers for every (v1, v2) grid cell at once.
 
     Returns two uint8 arrays of shape (len(v1_axis), len(v2_axis)), with
@@ -277,8 +264,7 @@ def sweep_codes(c: LogicCircuit, v3: float, v1_axis, v2_axis,
     v2_axis = np.asarray(v2_axis, dtype=float)
     if len(v1_axis) == 0 or len(v2_axis) == 0:
         raise ValueError("sweep axes must be nonempty")
-    s1, s2, cycled = relax_program(c, v1_axis[:, None], v2_axis[None, :], v3,
-                                   duration)
+    s1, s2, cycled = relax_program(c, v1_axis[:, None], v2_axis[None, :], v3)
     # input pair k = 2a+b is bit k of the code
     oscillated = cycled.any(axis=-1)
     return tuple(np.where(oscillated, OSCILLATING_CODE,

@@ -25,15 +25,14 @@ class GateMap:
     codes: np.ndarray  # shape (len(v1_axis), len(v2_axis)), OSCILLATING_CODE sentinel
 
 
-def sweep_grid(c: LogicCircuit, v3: float, v1_axis, v2_axis,
-               duration: float = 10e-3) -> List[List[GateResult]]:
+def sweep_grid(c: LogicCircuit, v3: float, v1_axis, v2_axis
+               ) -> List[List[GateResult]]:
     """GateResult for every (v1, v2) grid cell."""
     v1_axis = np.asarray(v1_axis, dtype=float)
     v2_axis = np.asarray(v2_axis, dtype=float)
     if len(v1_axis) == 0 or len(v2_axis) == 0:
         raise ValueError("sweep axes must be nonempty")
-    return [[run_gate(c, canonical_program(v1, v2, v3, v0=c.v_hold_level,
-                                           duration=duration))
+    return [[run_gate(c, canonical_program(v1, v2, v3, v0=c.v_hold_level))
              for v2 in v2_axis] for v1 in v1_axis]
 
 

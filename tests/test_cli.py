@@ -245,6 +245,25 @@ def test_gate_bytes_match_oracle_text(tmp_path, capsys, name):
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("verb, doc, marker", [
+    ("gate", GATE_DOCS["oscillating"], "oscillated = true"),
+    ("map", VERB_DOCS["map"], "OSC"),
+])
+def test_duration_changes_only_its_header_line(tmp_path, capsys, verb, doc,
+                                               marker):
+    # no relaxation reads circuit.duration; loading checks it once
+    outs = []
+    for duration in (0.01, 0.5):
+        circuit = dict(doc["circuit"], duration=duration)
+        path = write_config(tmp_path, dict(doc, circuit=circuit))
+        assert main([verb, "--config", path]) == 0
+        outs.append(capsys.readouterr().out.splitlines(keepends=True))
+    short, long = ([line for line in out if '"duration"' not in line]
+                   for out in outs)
+    assert short == long and marker in "".join(short)
+    assert [len(out) - len(short) for out in outs] == [1, 1]
+
+
 class TestOutputSink:
     @pytest.mark.parametrize("verb", sorted(VERB_DOCS))
     def test_out_file_plus_stdout_equals_plain_stdout(self, tmp_path, capsys,

@@ -118,6 +118,16 @@ def test_resolved_config_header(tmp_path, verb, doc, resolved):
      '"circuit": {"dt": 1e-300, "t_end": 1e300}}', 2, "circuit.dt"),
     ("transient", '{"source": {"kind": "sawtooth", "offset": 1e308, '
      '"amplitude": 1e308, "period": 0.05}}', 2, "|offset| + |amplitude|"),
+    # finite values whose printed current or closed form overflows
+    ("transient", '{"device": {"r_on": 5e-324, "r_off": 1e-323}, '
+     '"circuit": {"r1": 0}, "source": {"kind": "constant", "offset": 1e300}}',
+     2, "device.r_on"),
+    ("iv", '{"device": {"r_on": 5e-324, "r_off": 1e-323}}', 2,
+     "sweep.amplitude"),
+    ("osc-check", '{"device": {"r_on": 1e-300, "r_off": 1e-299}, '
+     '"circuit": {"r1": 1e308}}', 2, "circuit.r1"),
+    ("osc-check", '{"device": {"r_on": 1e-300, "r_off": 1e-299}, '
+     '"sweep": {"param": "r1", "values": [1, 1e308]}}', 2, "sweep.values"),
 ])
 def test_bad_input_exit_code_names_key(tmp_path, verb, document, code, key):
     got, _, err = run_cli(verb, document, str(tmp_path))

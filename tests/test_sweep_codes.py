@@ -22,6 +22,14 @@ def _log_uniform(lo, hi):
 
 @st.composite
 def random_devices(draw):
+    """Float-valued, or int-valued: a config keeps `"v_th_pos": 3` an int."""
+    if draw(st.booleans()):
+        r_on = draw(st.integers(10, 10_000))
+        v_hold_pos, v_hold_neg = draw(st.integers(1, 3)), -draw(st.integers(1, 3))
+        return DeviceParams(
+            r_on=r_on, r_off=r_on + draw(st.integers(1, 20 * r_on)),
+            v_th_pos=v_hold_pos + draw(st.integers(1, 2)), v_hold_pos=v_hold_pos,
+            v_th_neg=v_hold_neg - draw(st.integers(1, 2)), v_hold_neg=v_hold_neg)
     r_on = draw(_log_uniform(10.0, 1e4))
     v_hold_pos = draw(st.floats(0.2, 3.0))
     v_hold_neg = -draw(st.floats(0.2, 3.0))
