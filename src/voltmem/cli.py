@@ -20,7 +20,7 @@ from . import config as cfgmod
 from .circuit import (ResolutionError, SeriesCircuit, SourceWaveform, digitize,
                       run_transient)
 from .config import ConfigError, RunConfig, axis_points
-from .device import DeviceState, derive_device_params, device_resistance, step_device
+from .device import condition_holds, derive_device_params
 from .logic import (GATE_NAMES, INPUT_PAIRS, OSCILLATING_CODE, LogicCircuit,
                     relax_program, sweep_codes)
 from .oscillation import instability_lhs, is_unstable, onset_voltage
@@ -51,19 +51,22 @@ def _output(cfg: RunConfig):
 def run_iv_sweep(cfg: RunConfig) -> None:
     """Quasi-static triangle sweep straight across one device: v,i,conducting.
 
-    The actuation delay is zeroed so the trace depends only on voltage, not
-    on sweep rate.
+    The device switches at the first point where its condition holds, with no
+    actuation delay, so the trace depends only on voltage, not on sweep rate.
+    With jitter, every point draws a fresh pair of threshold offsets.
     """
-    dev = replace(cfg.device, t_actuate=0.0)
+    d, sigma = cfg.device, cfg.device.jitter_sigma
     rng = np.random.default_rng(cfg.seed)
     n = cfg.iv_points
     sweep = SourceWaveform("triangle", amplitude=cfg.iv_amplitude, period=1.0)
-    state = DeviceState(conducting=False)
+    on = False
     lines = ["v,i,conducting\n"]
     for v in sweep.value(np.arange(n) / (n - 1)).tolist():
-        state = step_device(dev, state, v, 1.0, rng)
-        i = v / device_resistance(dev, state)
-        lines.append("%.9g,%.9g,%d\n" % (v, i, int(state.conducting)))
+        offsets = ((rng.normal(0.0, sigma), rng.normal(0.0, sigma))
+                   if sigma > 0 else (0.0, 0.0))
+        on ^= bool(condition_holds(d, on, v, offsets))
+        i = v / (d.r_on if on else d.r_off)
+        lines.append("%.9g,%.9g,%d\n" % (v, i, on))
     with _output(cfg) as fh:
         fh.writelines(lines)
 

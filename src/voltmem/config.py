@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple
 from .device import DeviceParams, EmulatorParams, derive_device_params
 from .circuit import SourceWaveform
 from .logic import LogicCircuit
-from .oscillation import instability_lhs, onset_voltage
 
 VERBS = ("iv", "transient", "osc-check", "gate", "map")
 
@@ -60,10 +59,13 @@ def _want(ok: bool, val, where: str, what: str):
     return val
 
 
-def _finite(val, where, kinds=(int, float), what="a finite number"):
-    """The one numeric check: never a bool, NaN or infinite; kept as given."""
-    return _want(isinstance(val, kinds) and not isinstance(val, bool)
-                 and abs(val) <= sys.float_info.max, val, where, what)
+def _finite(val, where):
+    """The one check on a real: never a bool, and 0 or of magnitude 1e-12 to
+    1e12 in SI units, so that no product, quotient or sum the models form of
+    config values overflows; kept as given."""
+    return _want(isinstance(val, (int, float)) and not isinstance(val, bool)
+                 and (val == 0 or 1e-12 <= abs(val) <= 1e12), val, where,
+                 "0 or a number of magnitude 1e-12 to 1e12")
 
 
 def _real(val, where):
@@ -71,7 +73,8 @@ def _real(val, where):
 
 
 def _integer(val, where):
-    return _finite(val, where, int, "an integer")
+    return _want(isinstance(val, int) and not isinstance(val, bool)
+                 and abs(val) <= sys.float_info.max, val, where, "an integer")
 
 
 def _text(val, where):
@@ -267,25 +270,6 @@ def load_config_dict(raw: dict) -> RunConfig:
     # checks across keys that no model constructor makes
     if verb == "transient":
         _want(cfg.dt <= cfg.t_end, cfg.dt, "circuit.dt", f"<= t_end={cfg.t_end}")
-        _want(math.isfinite(cfg.t_end / cfg.dt), cfg.dt, "circuit.dt",
-              f"large enough that t_end={cfg.t_end} / dt is finite")
-        # the divider multiplies the source voltage by the device resistance
-        src = cfg.source
-        peak, terms = abs(src.offset), "|offset|"
-        if src.kind == "steps":
-            peak = max([peak] + [abs(v) for _, v in src.steps])
-            terms = "largest of |offset| and the |steps| levels"
-        elif src.kind != "constant":
-            peak, terms = peak + abs(src.amplitude), "|offset| + |amplitude|"
-        _want(math.isfinite(peak * device.r_off), peak,
-              f"source peak voltage ({terms})", "small enough that its product "
-              f"with device.r_off={device.r_off} is finite")
-        _want(math.isfinite(peak / (cfg.r1 + device.r_on)), peak,
-              f"source peak voltage ({terms})", "small enough that its quotient "
-              f"by circuit.r1={cfg.r1} + device.r_on={device.r_on} is finite")
-    if verb == "iv":
-        _want(math.isfinite(cfg.iv_amplitude / device.r_on), cfg.iv_amplitude,
-              "sweep.amplitude", f"small enough for device.r_on={device.r_on}")
     if verb in _GM:
         _build("circuit (r_common, v0)", LogicCircuit, m1=device, m2=device,
                r_common=cfg.r_common, v_hold_level=cfg.v0)
@@ -301,21 +285,14 @@ def load_config_dict(raw: dict) -> RunConfig:
                   or val == getattr(derived, key), val, f"device.{key}",
                   f"left at its derived value {getattr(derived, key)!r} "
                   "when sweep.param is 'r_int'")
-    # each swept value must pass the check of the key it stands in for, and
-    # osc-check prints its closed forms at each (value, device, r1) point
-    where = "sweep.values" if cfg.sweep_values else "circuit.r1"
-    points = [] if cfg.sweep_values else [(cfg.r1, device, cfg.r1)]
+    # each swept value must pass the check of the key it stands in for
     for val in cfg.sweep_values or ():
         if cfg.sweep_param == "r1":
             r1 = next(k for k in _keys(verb, "circuit") if k.name == "r1")
-            points.append((val, device, r1.value(val, where)))
+            r1.value(val, "sweep.values")
         else:
-            points.append((val, _build(where, lambda: derive_device_params(
-                replace(emulator, r_int=val))), cfg.r1))
-    for val, d, r1 in points if verb in _OSC else ():
-        _want(math.isfinite(onset_voltage(d, r1))
-              and math.isfinite(instability_lhs(d, r1)), val, where,
-              "a value at which onset_voltage and instability_lhs are finite")
+            _build("sweep.values", lambda: derive_device_params(
+                replace(emulator, r_int=val)))
     return cfg
 
 

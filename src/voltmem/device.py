@@ -148,7 +148,3 @@ def step_device(p: DeviceParams, s: DeviceState, v_device: float, dt: float,
         return DeviceState(conducting=target)
     return DeviceState(conducting=s.conducting, pending_target=target,
                        pending_elapsed=elapsed, pending_offsets=offsets)
-
-
-def device_resistance(p: DeviceParams, s: DeviceState) -> float:
-    return p.r_on if s.conducting else p.r_off

@@ -52,6 +52,11 @@ class TestWaveforms:
         assert w.value(0.75) == pytest.approx(-4.0)
         assert w.value(1.0) == pytest.approx(0.0)
 
+    def test_triangle_near_float_max_stays_finite(self):
+        # 4 * amplitude overflows, but the swing is scaled before amplitude
+        w = SourceWaveform("triangle", amplitude=1e308, period=1.0)
+        assert np.isfinite(w.value(np.arange(2001) / 2000)).all()
+
     def test_steps(self):
         w = SourceWaveform(kind="steps", offset=0.5,
                            steps=((1.0, 2.0), (2.0, 3.0)))

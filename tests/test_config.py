@@ -113,27 +113,88 @@ def test_resolved_config_header(tmp_path, verb, doc, resolved):
     # an r_int sweep derives the device at each value: no device overrides
     ("osc-check", '{"device": {"v_th_pos": 3.0}, '
      '"sweep": {"param": "r_int", "values": [680]}}', 2, "device.v_th_pos"),
-    # finite values whose sample count or divider voltage overflows
+    # every nonzero real is of magnitude 1e-12 to 1e12, so no product,
+    # quotient or sum that a model forms of config values overflows
     ("transient", '{"device": {"t_actuate": 0}, '
      '"circuit": {"dt": 1e-300, "t_end": 1e300}}', 2, "circuit.dt"),
     ("transient", '{"source": {"kind": "sawtooth", "offset": 1e308, '
-     '"amplitude": 1e308, "period": 0.05}}', 2, "|offset| + |amplitude|"),
-    # finite values whose printed current or closed form overflows
+     '"amplitude": 1e308, "period": 0.05}}', 2, "source.amplitude"),
     ("transient", '{"device": {"r_on": 5e-324, "r_off": 1e-323}, '
      '"circuit": {"r1": 0}, "source": {"kind": "constant", "offset": 1e300}}',
      2, "device.r_on"),
-    ("iv", '{"device": {"r_on": 5e-324, "r_off": 1e-323}}', 2,
-     "sweep.amplitude"),
+    ("iv", '{"device": {"r_on": 5e-324, "r_off": 1e-323}}', 2, "device.r_on"),
     ("osc-check", '{"device": {"r_on": 1e-300, "r_off": 1e-299}, '
-     '"circuit": {"r1": 1e308}}', 2, "circuit.r1"),
+     '"circuit": {"r1": 1e308}}', 2, "device.r_on"),
     ("osc-check", '{"device": {"r_on": 1e-300, "r_off": 1e-299}, '
-     '"sweep": {"param": "r1", "values": [1, 1e308]}}', 2, "sweep.values"),
+     '"sweep": {"param": "r1", "values": [1, 1e308]}}', 2, "device.r_on"),
+    # each key that a check of a product or quotient used to blame
+    ("osc-check", '{"circuit": {"r1": 1e308}}', 2, "circuit.r1"),
+    ("osc-check", '{"sweep": {"param": "r1", "values": [1, 1e308]}}', 2,
+     "sweep.values"),
+    ("iv", '{"sweep": {"amplitude": 1e13}}', 2, "sweep.amplitude"),
+    # denormal resistances that gate and map used to relax on NaN voltages
+    ("gate", '{"device": {"r_on": 5e-324, "r_off": 1e-323}, '
+     '"circuit": {"v1": 3, "v2": 1, "v3": -1.9}}', 2, "device.r_on"),
+    ("map", '{"circuit": {"r_common": 1e-300}}', 2, "circuit.r_common"),
 ])
 def test_bad_input_exit_code_names_key(tmp_path, verb, document, code, key):
     got, _, err = run_cli(verb, document, str(tmp_path))
     assert got == code
     assert key in err
     assert "Traceback" not in err
+
+
+# one key of each block, with a document that loads around it, and the values
+# of the range that the key's own bound allows
+RANGE_KEYS = [
+    ("iv", {}, "emulator", "l_coil", [1e-12, 1e12]),
+    ("iv", {}, "device", "jitter_sigma", [0, 1e-12, 1e12]),
+    ("gate", {"circuit": {"v2": 1, "v3": 0}}, "circuit", "v1",
+     [0, 1e-12, -1e-12, 1e12, -1e12]),
+    ("transient", {}, "source", "offset", [0, 1e-12, -1e-12, 1e12, -1e12]),
+    ("transient", {}, "digitize", "threshold",
+     [0, 1e-12, -1e-12, 1e12, -1e12]),
+    ("iv", {}, "sweep", "amplitude", [0, 1e-12, -1e-12, 1e12, -1e12]),
+]
+
+
+def _with(doc, block, key, val):
+    return dict(doc, **{block: dict(doc.get(block, {}), **{key: val})})
+
+
+@pytest.mark.parametrize("verb, doc, block, key, vals", RANGE_KEYS)
+def test_range_bounds_load(verb, doc, block, key, vals):
+    for val in vals:
+        cfg = load_config_dict(dict(_with(doc, block, key, val), verb=verb))
+        assert json.loads(serialize(cfg))[block][key] == val
+
+
+@pytest.mark.parametrize("val", [9.99e-13, -9.99e-13, 1.01e12, -1.01e12])
+@pytest.mark.parametrize("verb, doc, block, key", [k[:4] for k in RANGE_KEYS])
+def test_out_of_range_exits_2(tmp_path, verb, doc, block, key, val):
+    got, _, err = run_cli(verb, json.dumps(_with(doc, block, key, val)),
+                          str(tmp_path))
+    assert got == 2 and "Traceback" not in err
+    assert err == (f"config error: {block}.{key} must be 0 or a number of "
+                   f"magnitude 1e-12 to 1e12, got {val!r}\n")
+
+
+@pytest.mark.parametrize("verb, doc", [
+    ("transient", {"device": {"t_actuate": 0},
+                   "circuit": {"dt": 1e-12, "t_end": 1e-12}}),
+    ("map", {"sweep": {"v1": [0, 1e12, 5e11], "v2": [0, 1e12, 5e11]}}),
+])
+def test_range_bounds_run(tmp_path, verb, doc):
+    # the smallest step and the largest axis entries run to finite outputs
+    got, out, err = run_cli(verb, json.dumps(doc), str(tmp_path))
+    assert (got, err) == (0, "")
+    assert "nan" not in out and "inf" not in out
+
+
+def test_integers_keep_their_own_check():
+    # a seed is not a real: a 64-bit seed loads
+    cfg = load_config_dict({"verb": "iv", "seed": 2 ** 63 - 1})
+    assert cfg.seed == 2 ** 63 - 1
 
 
 # GOOD holds values of the right shape for each key, mostly valid and small

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from transient_oracle import device_resistance
 from voltmem.device import (DeviceParams, DeviceState, EmulatorParams,
-                            coil_impedance, derive_device_params,
-                            device_resistance, step_device,
+                            coil_impedance, derive_device_params, step_device,
                             transition_frequency)
 
 

@@ -90,7 +90,8 @@ DIGESTS = {
 
 
 def run_case(tmp_path, capsysbinary, name):
-    """The stdout bytes and the `--out` bytes (None without --out) of a case."""
+    """The stdout bytes and the `--out` bytes (None without --out) of a case,
+    which writes nothing to stderr."""
     verb, doc, to_file = CASES[name]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
@@ -99,7 +100,9 @@ def run_case(tmp_path, capsysbinary, name):
     if to_file:
         argv += ["--out", str(out)]
     assert main(argv) == 0
-    return capsysbinary.readouterr().out, out.read_bytes() if to_file else None
+    captured = capsysbinary.readouterr()
+    assert captured.err == b""
+    return captured.out, out.read_bytes() if to_file else None
 
 
 def sha256(data):

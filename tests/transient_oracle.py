@@ -10,7 +10,11 @@ import numpy as np
 
 from voltmem.circuit import (ResolutionError, SeriesCircuit, Trace,
                              solve_series_divider)
-from voltmem.device import DeviceState, device_resistance, step_device
+from voltmem.device import DeviceParams, DeviceState, step_device
+
+
+def device_resistance(p: DeviceParams, s: DeviceState) -> float:
+    return p.r_on if s.conducting else p.r_off
 
 
 def run_transient_per_sample(c: SeriesCircuit, dt: float, t_end: float,
