@@ -21,6 +21,7 @@ from .circuit import SourceWaveform
 from .logic import LogicCircuit
 
 VERBS = ("iv", "transient", "osc-check", "gate", "map")
+MAX_ROWS = 10**8  # the most iv points, transient samples or map cells of a run
 
 
 class ConfigError(Exception):
@@ -94,8 +95,9 @@ def _steps(val, where):
 def _axis(val, where):
     lo, hi, step = _reals(val, where, "[min, max, step]", (3,))
     n = (hi - lo) / step if step > 0 and hi >= lo else math.nan
-    _want(math.isfinite(n) and abs(n - round(n)) <= 1e-9 * max(1.0, n), val,
-          where, "[min, max, step] with step > 0 and (max - min) / step whole")
+    _want(math.isfinite(n) and abs(n - round(n)) <= 1e-9 * max(1.0, n)
+          and round(n) < MAX_ROWS, val, where, "[min, max, step] with step > 0, "
+          f"(max - min) / step whole and at most {MAX_ROWS} points")
     return lo, hi, step
 
 
@@ -150,7 +152,8 @@ SCHEMA = (
     Key("digitize", "high", _TR, _real, 5.0),
     Key("digitize", "low", _TR, _real, 0.0),
     Key("sweep", "amplitude", ("iv",), _real, 4.0, field="iv_amplitude"),
-    Key("sweep", "points", ("iv",), _integer, 2001, (">=", 3), "iv_points"),
+    Key("sweep", "points", ("iv",), _integer, 2001,
+        ("in", range(3, MAX_ROWS + 1)), "iv_points"),
     # an osc-check sweep is optional, but param and values go together
     Key("sweep", "param", _OSC, _text, None, ("in", ("r1", "r_int")),
         "sweep_param"),
@@ -205,11 +208,15 @@ def _params(raw: dict, name: str, base):
     return _build(name, replace, base, **block)
 
 
+def axis_size(spec: tuple[float, float, float]) -> int:
+    lo, hi, step = spec
+    return int(round((hi - lo) / step)) + 1
+
+
 def axis_points(spec: tuple[float, float, float]):
     """Realize a (min, max, step) axis spec as a list of grid values."""
-    lo, hi, step = spec
-    n = int(round((hi - lo) / step)) + 1
-    return [lo + step * k for k in range(n)]
+    lo, _, step = spec
+    return [lo + step * k for k in range(axis_size(spec))]
 
 
 def _parse(document: str) -> dict:
@@ -243,7 +250,7 @@ def load_config_dict(raw: dict) -> RunConfig:
     verb = _want(raw.get("verb") in VERBS, raw.get("verb"), "verb",
                  f"one of {VERBS}")
     emulator = _params(raw, "emulator", EmulatorParams())
-    derived = _build("device", derive_device_params, emulator)
+    derived = _build("emulator (r_coil, r_int)", derive_device_params, emulator)
     device = _params(raw, "device", derived)
 
     resolved = {}
@@ -270,6 +277,12 @@ def load_config_dict(raw: dict) -> RunConfig:
     # checks across keys that no model constructor makes
     if verb == "transient":
         _want(cfg.dt <= cfg.t_end, cfg.dt, "circuit.dt", f"<= t_end={cfg.t_end}")
+        _want(round(cfg.t_end / cfg.dt) < MAX_ROWS, cfg.t_end, "circuit.t_end",
+              f"at most {MAX_ROWS} samples of dt={cfg.dt}")
+    if verb == "map":
+        cells = axis_size(cfg.v1_axis) * axis_size(cfg.v2_axis)
+        _want(cells <= MAX_ROWS, cells, "sweep.v1 x sweep.v2",
+              f"at most {MAX_ROWS} cells")
     if verb in _GM:
         _build("circuit (r_common, v0)", LogicCircuit, m1=device, m2=device,
                r_common=cfg.r_common, v_hold_level=cfg.v0)

@@ -10,17 +10,18 @@ States are relaxed quasi-statically inside each phase: solve the one-node
 network, apply the zero-delay threshold rule to both devices simultaneously,
 repeat until a fixed point or a revisited state (cycle = would-be oscillation).
 
-relax_program is the one kernel that `gate` and `map` run: it relaxes every
-(v1, v2) point and input pair at once on arrays through solve_node and
-device.condition_holds, and reads no phase duration (config loading checks
-it); sweep_codes packs its final states into gate codes. The scalar chain
-_threshold_update -> relax_phase -> run_sequence -> run_gate, sharing
-solve_node, is its oracle in the tests and in perfbench/, which wraps
+relax_program is the one kernel that `gate` and `map` run, for every (v1, v2)
+point and input pair at once: per phase, a 4-state transition table from 4
+solve_node and 8 device.condition_holds calls, walked by every element. It
+reads no phase duration; sweep_codes packs its final states into gate codes.
+The scalar chain _threshold_update -> relax_phase -> run_sequence -> run_gate,
+sharing solve_node, is its oracle in the tests and in perfbench/, which wraps
 logic.run_gate and logic.solve_node by name.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
@@ -112,12 +113,11 @@ class GateResult:
 
 def solve_node(c: LogicCircuit, states: Tuple[bool, bool], v1: float, v2: float,
                v3: float, switch_closed: bool) -> Tuple[float, float, float]:
-    """Node voltage and per-device voltages of the shared-node network; each
-    state is a bool or a bool array that broadcasts against the voltages."""
+    """Node voltage and per-device voltages of the shared-node network."""
     if switch_closed:
         return 0.0, v1, v2
-    g1 = np.where(states[0], 1.0 / c.m1.r_on, 1.0 / c.m1.r_off)
-    g2 = np.where(states[1], 1.0 / c.m2.r_on, 1.0 / c.m2.r_off)
+    g1 = 1.0 / c.m1.r_on if states[0] else 1.0 / c.m1.r_off
+    g2 = 1.0 / c.m2.r_on if states[1] else 1.0 / c.m2.r_off
     g3 = 1.0 / c.r_common
     v_n = (v1 * g1 + v2 * g2 + v3 * g3) / (g1 + g2 + g3)
     return v_n, v1 - v_n, v2 - v_n
@@ -196,41 +196,27 @@ def run_gate(c: LogicCircuit, prog: PhaseProgram) -> GateResult:
                       oscillated=any(run[2] for run in runs.values()))
 
 
-def _switch(p: DeviceParams, conducting: np.ndarray, v) -> np.ndarray:
-    # _threshold_update over arrays
-    return np.where(conducting,
-                    np.logical_not(condition_holds(p, True, v, (0.0, 0.0))),
-                    condition_holds(p, False, v, (0.0, 0.0)))
+def _relax(c: LogicCircuit, state: np.ndarray, phase: Phase):
+    """relax_phase over arrays of states k = 2*s1 + s2: (final states, cycled).
 
-
-def _relax(c: LogicCircuit, s1: np.ndarray, s2: np.ndarray, phase: Phase):
-    """relax_phase over arrays; returns (s1, s2, cycled).
-
-    Each element of the states broadcast against the phase voltages is one
-    relaxation. Its visited states are a 4-bit mask (bit 2*s1 + s2); an
-    element stops at a fixed point or a revisit, keeping the state before
-    closure, and all have stopped after 4 iterations.
+    Bits 2k, 2k+1 of the phase's uint8 transition table hold the state that k
+    steps to. Each element walks the table with a 4-bit visited mask; a step
+    onto a visited state leaves it in place, so after 3 steps it rests on the
+    state before closure, and it cycled iff that is not a fixed point.
     """
-    shape = np.broadcast_shapes(s1.shape, np.shape(phase.v1), np.shape(phase.v2))
-    s1, s2 = np.broadcast_to(s1, shape), np.broadcast_to(s2, shape)
-    state = (s1.view(np.uint8) << 1) | s2.view(np.uint8)
-    seen = np.uint8(1) << state
-    active = np.ones(shape, dtype=bool)
-    cycled = np.zeros(shape, dtype=bool)
-    for _ in range(4):
-        _, v_m1, v_m2 = solve_node(c, (s1, s2), phase.v1, phase.v2, phase.v3,
+    table = np.uint8(0)
+    for k, states in enumerate(itertools.product((False, True), repeat=2)):
+        _, v_m1, v_m2 = solve_node(c, states, phase.v1, phase.v2, phase.v3,
                                    phase.switch_closed)
-        n1, n2 = _switch(c.m1, s1, v_m1), _switch(c.m2, s2, v_m2)
-        nxt = (n1.view(np.uint8) << 1) | n2.view(np.uint8)
-        revisit = ((seen >> nxt) & 1).view(bool) & active
-        cycled |= revisit & (nxt != state)
-        active &= ~revisit
-        if not active.any():
-            break
-        s1, s2 = np.where(active, n1, s1), np.where(active, n2, s2)
-        state = np.where(active, nxt, state)
-        seen |= np.uint8(1) << nxt
-    return s1, s2, cycled
+        n1, n2 = (np.asarray(s ^ condition_holds(p, s, v, (0.0, 0.0)), np.uint8)
+                  for p, s, v in zip((c.m1, c.m2), states, (v_m1, v_m2)))
+        table = table | (n1 << 1 | n2) << 2 * k
+    seen = np.uint8(1) << state
+    for _ in range(3):
+        nxt = table >> (state << 1) & 3
+        state = np.where(seen >> nxt & 1, state, nxt)
+        seen = seen | np.uint8(1) << nxt
+    return state, table >> (state << 1) & 3 != state
 
 
 def relax_program(c: LogicCircuit, v1, v2, v3: float
@@ -246,11 +232,11 @@ def relax_program(c: LogicCircuit, v1, v2, v3: float
     a, b = np.array(INPUT_PAIRS, dtype=bool).T
     init = replace(prog.phases[0], v1=np.where(a, INIT_HIGH, INIT_LOW),
                    v2=np.where(b, INIT_HIGH, INIT_LOW))
-    s1 = s2 = cycled = np.zeros(4, dtype=bool)
+    state, cycled = np.zeros(4, dtype=np.uint8), np.zeros(4, dtype=bool)
     for phase in (init,) + prog.phases[1:]:
-        s1, s2, cyc = _relax(c, s1, s2, phase)
+        state, cyc = _relax(c, state, phase)
         cycled = cycled | cyc
-    return s1, s2, cycled
+    return state >= 2, (state & 1).view(bool), cycled
 
 
 def sweep_codes(c: LogicCircuit, v3: float, v1_axis, v2_axis

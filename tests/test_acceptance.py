@@ -148,14 +148,15 @@ def test_criterion_6_code_classification_oracle():
 
 
 def test_criterion_7_bistable_hold(logic_circuit):
-    # the kernel relaxes all four state pairs at once, as in `gate` and `map`
+    # the kernel relaxes all four states k = 2*s1 + s2 at once, as in `gate`
+    # and `map`
     hold = Phase(1.9, 1.9, 0.0, switch_closed=True, duration=10e-3)
-    init1, init2 = np.array(list(itertools.product((False, True), repeat=2))).T
-    s1, s2 = init1, init2
+    init = np.arange(4, dtype=np.uint8)
+    state = init
     ok = True
     for _ in range(10_000):
-        s1, s2, cycled = _relax(logic_circuit, s1, s2, hold)
-        if cycled.any() or (s1 != init1).any() or (s2 != init2).any():
+        state, cycled = _relax(logic_circuit, state, hold)
+        if cycled.any() or (state != init).any():
             ok = False
             break
     report(7, ok, "10^4 hold relaxations preserve all four state pairs")

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voltmem.cli import main
-from voltmem.config import (VERBS, ConfigError, load_config, load_config_dict,
-                            serialize)
+from voltmem.config import (MAX_ROWS, VERBS, ConfigError, load_config,
+                            load_config_dict, serialize)
 
 
 def run_cli(verb, document, tmp):
@@ -136,6 +136,19 @@ def test_resolved_config_header(tmp_path, verb, doc, resolved):
     ("gate", '{"device": {"r_on": 5e-324, "r_off": 1e-323}, '
      '"circuit": {"v1": 3, "v2": 1, "v3": -1.9}}', 2, "device.r_on"),
     ("map", '{"circuit": {"r_common": 1e-300}}', 2, "circuit.r_common"),
+    # in-range emulator values whose derived device is invalid (r_on rounds
+    # up to r_off) blame the emulator, not a device block never given
+    ("osc-check", '{"emulator": {"r_coil": 1e-5, "r_int": 1e12}}', 2,
+     "emulator (r_coil, r_int)"),
+    # no verb computes more than MAX_ROWS rows: each axis, the map's cells,
+    # iv points and transient samples
+    ("map", '{"sweep": {"v1": [0, 1e12, 1e-12]}}', 2, "sweep.v1"),
+    ("map", '{"sweep": {"v2": [0, 1e12, 1e-12]}}', 2, "sweep.v2"),
+    ("map", '{"sweep": {"v1": [0, 1e4, 1], "v2": [0, 1e4, 1]}}', 2,
+     "sweep.v1 x sweep.v2"),
+    ("iv", '{"sweep": {"points": 100000000000000000000}}', 2, "sweep.points"),
+    ("transient", '{"circuit": {"dt": 1e-12, "t_end": 1e12}}', 2,
+     "circuit.t_end"),
 ])
 def test_bad_input_exit_code_names_key(tmp_path, verb, document, code, key):
     got, _, err = run_cli(verb, document, str(tmp_path))
@@ -189,6 +202,22 @@ def test_range_bounds_run(tmp_path, verb, doc):
     got, out, err = run_cli(verb, json.dumps(doc), str(tmp_path))
     assert (got, err) == (0, "")
     assert "nan" not in out and "inf" not in out
+
+
+@pytest.mark.parametrize("verb, doc, over", [
+    ("iv", {"sweep": {"points": MAX_ROWS}}, ("sweep", "points", MAX_ROWS + 1)),
+    # round(t_end / dt) + 1 samples
+    ("transient", {"device": {"t_actuate": 0},
+                   "circuit": {"dt": 1e-8, "t_end": 0.99999999}},
+     ("circuit", "t_end", 1.0)),
+    ("map", {"sweep": {"v1": [0, MAX_ROWS - 1, 1], "v2": [0, 0, 1]}},
+     ("sweep", "v2", [0, 1, 1])),
+])
+def test_row_limit_is_inclusive(verb, doc, over):
+    load_config_dict(dict(doc, verb=verb))
+    block, key, val = over
+    with pytest.raises(ConfigError, match=f"{block}.{key}"):
+        load_config_dict(dict(_with(doc, block, key, val), verb=verb))
 
 
 def test_integers_keep_their_own_check():

@@ -50,16 +50,6 @@ class TestSolveNode:
         assert v_n == pytest.approx(648.0 / 1049.0, rel=1e-12)
         assert v_m1 == v_m2 == 3.0 - v_n
 
-    def test_state_arrays_match_scalar_states_bit_for_bit(self):
-        # the kernel passes bool arrays; each element solves as its scalar
-        s1, s2 = np.array([True, False]), np.array([False, True])
-        arrays = solve_node(circuit(), (s1, s2), 3.0, 3.0, -1.9,
-                            switch_closed=False)
-        for k in range(2):
-            scalar = solve_node(circuit(), (bool(s1[k]), bool(s2[k])), 3.0,
-                                3.0, -1.9, switch_closed=False)
-            assert [float(a[k]) for a in arrays] == [float(x) for x in scalar]
-
 
 class TestCodes:
     def test_all_zero_and_all_one(self):

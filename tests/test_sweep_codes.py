@@ -3,6 +3,8 @@ and code by code, and the map verb's CSV and heatmap bytes against text
 built from the oracle."""
 
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -10,8 +12,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from voltmem.cli import main
 from voltmem.config import axis_points, header_lines, load_config
 from voltmem.device import DeviceParams, EmulatorParams, derive_device_params
-from voltmem.logic import (INPUT_PAIRS, LogicCircuit, canonical_program,
-                           relax_program, run_sequence, sweep_codes)
+from voltmem.logic import (INIT_HIGH, INIT_LOW, INPUT_PAIRS, LogicCircuit,
+                           _relax, canonical_program, relax_program,
+                           run_sequence, sweep_codes)
 
 from logic_oracle import grid_codes, sweep_grid
 
@@ -22,20 +25,21 @@ def _log_uniform(lo, hi):
 
 @st.composite
 def random_devices(draw):
-    """Float-valued, or int-valued: a config keeps `"v_th_pos": 3` an int."""
+    """Float-valued, or int-valued: a config keeps `"v_th_pos": 3` an int.
+    Some have v_th_pos >= INIT_HIGH, so that init leaves them OFF."""
     if draw(st.booleans()):
         r_on = draw(st.integers(10, 10_000))
         v_hold_pos, v_hold_neg = draw(st.integers(1, 3)), -draw(st.integers(1, 3))
         return DeviceParams(
             r_on=r_on, r_off=r_on + draw(st.integers(1, 20 * r_on)),
-            v_th_pos=v_hold_pos + draw(st.integers(1, 2)), v_hold_pos=v_hold_pos,
+            v_th_pos=v_hold_pos + draw(st.integers(1, 4)), v_hold_pos=v_hold_pos,
             v_th_neg=v_hold_neg - draw(st.integers(1, 2)), v_hold_neg=v_hold_neg)
     r_on = draw(_log_uniform(10.0, 1e4))
     v_hold_pos = draw(st.floats(0.2, 3.0))
     v_hold_neg = -draw(st.floats(0.2, 3.0))
     return DeviceParams(
         r_on=r_on, r_off=r_on * draw(st.floats(1.05, 20.0)),
-        v_th_pos=v_hold_pos + draw(st.floats(0.1, 2.0)), v_hold_pos=v_hold_pos,
+        v_th_pos=v_hold_pos + draw(st.floats(0.1, 4.0)), v_hold_pos=v_hold_pos,
         v_th_neg=v_hold_neg - draw(st.floats(0.1, 2.0)), v_hold_neg=v_hold_neg)
 
 
@@ -58,7 +62,9 @@ def circuits(draw):
     m2 = draw(st.one_of(st.just(m1), devices))
     lo = max(m1.v_hold_pos, m2.v_hold_pos)
     hi = min(m1.v_th_pos, m2.v_th_pos)
-    if lo >= hi:  # no common bistable window: one device for both
+    # no common bistable window, or one too narrow for v0 to fall strictly
+    # inside it (3 - 4e-16 to 3): one device for both
+    if hi - lo < 1e-9:
         m2, lo, hi = m1, m1.v_hold_pos, m1.v_th_pos
     v0 = lo + (hi - lo) * draw(st.floats(0.05, 0.95))
     return LogicCircuit(m1=m1, m2=m2, r_common=draw(_log_uniform(10.0, 1e4)),
@@ -74,6 +80,31 @@ def test_kernel_matches_scalar_oracle(c, v3, v1_axis, v2_axis):
     for g, w in zip(got, want):
         assert g.dtype == np.uint8
         np.testing.assert_array_equal(g, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=circuits())
+def test_hold_is_identity_and_init_never_cycles(c):
+    """v_hold_pos < v0 < v_th_pos for both devices, so no switching condition
+    holds in either hold phase: each leaves all four states where they are.
+    With the switch closed the devices do not interact, and a device that
+    switched cannot switch back at the same voltage (the ON and OFF
+    conditions are disjoint), so init settles from every state at every
+    input pair."""
+    # the switch is closed in all three phases, so V1, V2 and V3 of the calc
+    # phase do not reach them
+    init, hold, _, final = canonical_program(0.0, 0.0, 0.0,
+                                             v0=c.v_hold_level).phases
+    states = np.arange(4, dtype=np.uint8)
+    for phase in (hold, final):
+        state, cycled = _relax(c, states, phase)
+        np.testing.assert_array_equal(state, states)
+        assert not cycled.any()
+    a, b = np.array(INPUT_PAIRS, dtype=bool).T
+    init = replace(init, v1=np.where(a, INIT_HIGH, INIT_LOW),
+                   v2=np.where(b, INIT_HIGH, INIT_LOW))
+    _, cycled = _relax(c, states[:, None], init)
+    assert cycled.shape == (4, 4) and not cycled.any()
 
 
 @st.composite
@@ -118,6 +149,22 @@ def test_kernel_states_match_scalar_oracle(c, v3, v1_v2):
 MIXED = {"emulator": {"r_int": 220}, "circuit": {"r_common": 1000},
          "sweep": {"v1": [-1, 6, 0.25], "v2": [-1, 6, 0.25], "v3": -1.9}}
 GLYPHS = "0123456789ABCDEF"
+
+
+def test_sweep_codes_peak_memory_per_cell():
+    # the benchmark's map-mixed grid. The table kernel peaks near 52 bytes
+    # per cell; float64 node voltages per cell and input pair take ~265
+    d = derive_device_params(EmulatorParams(r_int=220))
+    c = LogicCircuit(m1=d, m2=d, r_common=1000.0)
+    axis = axis_points((-1.0, 6.0, 0.02))
+    assert len(axis) == 351
+    tracemalloc.start()
+    try:
+        sweep_codes(c, -1.9, axis, axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * len(axis) ** 2
 
 
 def test_map_verb_bytes_match_oracle_text(tmp_path, capsys):
