@@ -11,12 +11,12 @@ network, apply the zero-delay threshold rule to both devices simultaneously,
 repeat until a fixed point or a revisited state (cycle = would-be oscillation).
 
 relax_program is the one kernel that `gate` and `map` run, for every (v1, v2)
-point and input pair at once: per phase, a 4-state transition table from 4
-solve_node and 8 device.condition_holds calls, walked by every element. It
-reads no phase duration; sweep_codes packs its final states into gate codes.
-The scalar chain _threshold_update -> relax_phase -> run_sequence -> run_gate,
-sharing solve_node, is its oracle in the tests and in perfbench/, which wraps
-logic.run_gate and logic.solve_node by name.
+point and input pair at once: init's 4-state transition table (_table) is
+walked from OFF, then all 256 possible tables from its four states, and each
+point gathers the row of its calc table. Both holds are the identity and are
+skipped, so a run makes 8 solve_node calls and reads no phase duration. The
+scalar chain _threshold_update -> relax_phase -> run_sequence -> run_gate is
+its oracle in the tests and in perfbench/, which wraps run_gate and solve_node.
 """
 
 from __future__ import annotations
@@ -196,21 +196,24 @@ def run_gate(c: LogicCircuit, prog: PhaseProgram) -> GateResult:
                       oscillated=any(run[2] for run in runs.values()))
 
 
-def _relax(c: LogicCircuit, state: np.ndarray, phase: Phase):
-    """relax_phase over arrays of states k = 2*s1 + s2: (final states, cycled).
-
-    Bits 2k, 2k+1 of the phase's uint8 transition table hold the state that k
-    steps to. Each element walks the table with a 4-bit visited mask; a step
-    onto a visited state leaves it in place, so after 3 steps it rests on the
-    state before closure, and it cycled iff that is not a fixed point.
-    """
+def _table(c: LogicCircuit, v1, v2, v3: float, switch_closed: bool):
+    """uint8 transition table of one phase at every (v1, v2): bits 2k, 2k+1
+    hold the state that state k = 2*s1 + s2 steps to under relax_phase's
+    rule, from 4 solve_node and 8 condition_holds calls."""
     table = np.uint8(0)
     for k, states in enumerate(itertools.product((False, True), repeat=2)):
-        _, v_m1, v_m2 = solve_node(c, states, phase.v1, phase.v2, phase.v3,
-                                   phase.switch_closed)
+        _, v_m1, v_m2 = solve_node(c, states, v1, v2, v3, switch_closed)
         n1, n2 = (np.asarray(s ^ condition_holds(p, s, v, (0.0, 0.0)), np.uint8)
                   for p, s, v in zip((c.m1, c.m2), states, (v_m1, v_m2)))
         table = table | (n1 << 1 | n2) << 2 * k
+    return table
+
+
+def _walk(table, state):
+    """relax_phase over broadcasting tables and states k: (final, cycled).
+    A step onto a state in the 4-bit visited mask leaves an element in place,
+    so after 3 steps it rests on the state before closure, and it cycled iff
+    that is not a fixed point."""
     seen = np.uint8(1) << state
     for _ in range(3):
         nxt = table >> (state << 1) & 3
@@ -224,19 +227,16 @@ def relax_program(c: LogicCircuit, v1, v2, v3: float
     """Final (s1, s2, cycled) of the canonical program at every (v1, v2):
     bool arrays of shape broadcast(v1, v2) + (4,), equal to run_sequence's
     (s1, s2, oscillated) for input pair k = 2a+b at index k of the last axis.
-    The init phase holds the four pairs along that axis, so init and hold
-    relax four elements and calc every point."""
-    prog = canonical_program(np.asarray(v1, dtype=float)[..., None],
-                             np.asarray(v2, dtype=float)[..., None],
-                             v3, v0=c.v_hold_level)
+    LogicCircuit keeps v_hold_pos < v0 < v_th_pos, so no switching condition
+    holds in either hold phase and both are skipped."""
     a, b = np.array(INPUT_PAIRS, dtype=bool).T
-    init = replace(prog.phases[0], v1=np.where(a, INIT_HIGH, INIT_LOW),
-                   v2=np.where(b, INIT_HIGH, INIT_LOW))
-    state, cycled = np.zeros(4, dtype=np.uint8), np.zeros(4, dtype=bool)
-    for phase in (init,) + prog.phases[1:]:
-        state, cyc = _relax(c, state, phase)
-        cycled = cycled | cyc
-    return state >= 2, (state & 1).view(bool), cycled
+    state, cycled = _walk(_table(c, np.where(a, INIT_HIGH, INIT_LOW),
+                                 np.where(b, INIT_HIGH, INIT_LOW), 0.0, True),
+                          np.zeros(4, dtype=np.uint8))
+    final, cyc = _walk(np.arange(256, dtype=np.uint8)[:, None], state)
+    calc = _table(c, np.asarray(v1, dtype=float), np.asarray(v2, dtype=float),
+                  v3, False)
+    return (final >= 2)[calc], (final & 1).view(bool)[calc], (cycled | cyc)[calc]
 
 
 def sweep_codes(c: LogicCircuit, v3: float, v1_axis, v2_axis

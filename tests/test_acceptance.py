@@ -13,8 +13,8 @@ import pytest
 from voltmem.circuit import SeriesCircuit, SourceWaveform, run_transient
 from voltmem.cli import main
 from voltmem.device import EmulatorParams, derive_device_params, transition_frequency
-from voltmem.logic import (INPUT_PAIRS, OSCILLATING_CODE, LogicCircuit, Phase,
-                           _relax, classify, gate_code, sweep_codes)
+from voltmem.logic import (INPUT_PAIRS, OSCILLATING_CODE, LogicCircuit,
+                           _table, _walk, classify, gate_code, sweep_codes)
 from voltmem.oscillation import (detect_oscillation, instability_lhs,
                                  is_unstable, onset_voltage)
 
@@ -148,14 +148,14 @@ def test_criterion_6_code_classification_oracle():
 
 
 def test_criterion_7_bistable_hold(logic_circuit):
-    # the kernel relaxes all four states k = 2*s1 + s2 at once, as in `gate`
-    # and `map`
-    hold = Phase(1.9, 1.9, 0.0, switch_closed=True, duration=10e-3)
+    # the kernel walks all four states k = 2*s1 + s2 at once through the
+    # hold phase's transition table
+    hold = _table(logic_circuit, 1.9, 1.9, 0.0, switch_closed=True)
     init = np.arange(4, dtype=np.uint8)
     state = init
     ok = True
     for _ in range(10_000):
-        state, cycled = _relax(logic_circuit, state, hold)
+        state, cycled = _walk(hold, state)
         if cycled.any() or (state != init).any():
             ok = False
             break

@@ -4,7 +4,6 @@ built from the oracle."""
 
 import json
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -13,7 +12,7 @@ from voltmem.cli import main
 from voltmem.config import axis_points, header_lines, load_config
 from voltmem.device import DeviceParams, EmulatorParams, derive_device_params
 from voltmem.logic import (INIT_HIGH, INIT_LOW, INPUT_PAIRS, LogicCircuit,
-                           _relax, canonical_program, relax_program,
+                           _table, _walk, canonical_program, relax_program,
                            run_sequence, sweep_codes)
 
 from logic_oracle import grid_codes, sweep_grid
@@ -86,25 +85,48 @@ def test_kernel_matches_scalar_oracle(c, v3, v1_axis, v2_axis):
 @given(c=circuits())
 def test_hold_is_identity_and_init_never_cycles(c):
     """v_hold_pos < v0 < v_th_pos for both devices, so no switching condition
-    holds in either hold phase: each leaves all four states where they are.
-    With the switch closed the devices do not interact, and a device that
-    switched cannot switch back at the same voltage (the ON and OFF
-    conditions are disjoint), so init settles from every state at every
-    input pair."""
+    holds in either hold phase: each maps all four states to themselves,
+    which is what lets relax_program skip them. With the switch closed the
+    devices do not interact, and a device that switched cannot switch back
+    at the same voltage (the ON and OFF conditions are disjoint), so init
+    settles from every state at every input pair."""
     # the switch is closed in all three phases, so V1, V2 and V3 of the calc
     # phase do not reach them
-    init, hold, _, final = canonical_program(0.0, 0.0, 0.0,
-                                             v0=c.v_hold_level).phases
-    states = np.arange(4, dtype=np.uint8)
+    _, hold, _, final = canonical_program(0.0, 0.0, 0.0,
+                                          v0=c.v_hold_level).phases
     for phase in (hold, final):
-        state, cycled = _relax(c, states, phase)
-        np.testing.assert_array_equal(state, states)
-        assert not cycled.any()
+        assert _table(c, phase.v1, phase.v2, phase.v3,
+                      phase.switch_closed) == 0b11_10_01_00
     a, b = np.array(INPUT_PAIRS, dtype=bool).T
-    init = replace(init, v1=np.where(a, INIT_HIGH, INIT_LOW),
-                   v2=np.where(b, INIT_HIGH, INIT_LOW))
-    _, cycled = _relax(c, states[:, None], init)
+    init = _table(c, np.where(a, INIT_HIGH, INIT_LOW),
+                  np.where(b, INIT_HIGH, INIT_LOW), 0.0, True)
+    _, cycled = _walk(init, np.arange(4, dtype=np.uint8)[:, None])
     assert cycled.shape == (4, 4) and not cycled.any()
+
+
+def test_walk_matches_reference_on_every_table_and_state():
+    """relax_program gathers from the walks of all 256 tables, including
+    ones no sampled circuit produces, so each is checked against
+    relax_phase's rule: follow the table to a fixed point or a revisit,
+    keeping the state before closure."""
+    def reference(table, k):
+        seen = {k}
+        while True:
+            nxt = table >> 2 * k & 3
+            if nxt == k:
+                return k, False
+            if nxt in seen:
+                return k, True
+            seen.add(nxt)
+            k = nxt
+
+    final, cycled = _walk(np.arange(256, dtype=np.uint8)[:, None],
+                          np.arange(4, dtype=np.uint8))
+    assert final.shape == cycled.shape == (256, 4)
+    for table in range(256):
+        for k in range(4):
+            assert (int(final[table, k]), bool(cycled[table, k])) == reference(
+                table, k), (table, k)
 
 
 @st.composite
