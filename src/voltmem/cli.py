@@ -17,8 +17,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import config as cfgmod
-from .circuit import (ResolutionError, SeriesCircuit, SourceWaveform, digitize,
-                      run_transient)
+from .circuit import (_CSV_CHUNK_ROWS, ResolutionError, SeriesCircuit,
+                      SourceWaveform, digitize, run_transient)
 from .config import ConfigError, RunConfig, axis_points
 from .device import condition_holds, derive_device_params
 from .logic import (GATE_NAMES, INPUT_PAIRS, OSCILLATING_CODE, LogicCircuit,
@@ -53,22 +53,29 @@ def run_iv_sweep(cfg: RunConfig) -> None:
 
     The device switches at the first point where its condition holds, with no
     actuation delay, so the trace depends only on voltage, not on sweep rate.
-    With jitter, every point draws a fresh pair of threshold offsets.
+    Every point draws a fresh pair of threshold offsets, all 0.0 without jitter.
     """
     d, sigma = cfg.device, cfg.device.jitter_sigma
     rng = np.random.default_rng(cfg.seed)
     n = cfg.iv_points
     sweep = SourceWaveform("triangle", amplitude=cfg.iv_amplitude, period=1.0)
-    on = False
-    lines = ["v,i,conducting\n"]
-    for v in sweep.value(np.arange(n) / (n - 1)).tolist():
-        offsets = ((rng.normal(0.0, sigma), rng.normal(0.0, sigma))
-                   if sigma > 0 else (0.0, 0.0))
-        on ^= bool(condition_holds(d, on, v, offsets))
-        i = v / (d.r_on if on else d.r_off)
-        lines.append("%.9g,%.9g,%d\n" % (v, i, on))
+    # in chunks, so that only the one bool state of each point is kept
+    def volts(k):  # the sweep voltages of the chunk from point k
+        return sweep.value(np.arange(k, min(k + _CSV_CHUNK_ROWS, n)) / (n - 1))
+    on, states = False, np.empty(n, dtype=bool)
+    for start in range(0, n, _CSV_CHUNK_ROWS):
+        v = volts(start).tolist()
+        offsets = rng.normal(0.0, sigma, (len(v), 2)).tolist()
+        for k, (vk, dk) in enumerate(zip(v, offsets), start):
+            on ^= bool(condition_holds(d, on, vk, dk))
+            states[k] = on
     with _output(cfg) as fh:
-        fh.writelines(lines)
+        fh.write("v,i,conducting\n")
+        for start in range(0, n, _CSV_CHUNK_ROWS):
+            v, conducting = volts(start), states[start:start + _CSV_CHUNK_ROWS]
+            i = v / np.where(conducting, d.r_on, d.r_off)
+            rows = zip(v.tolist(), i.tolist(), conducting.tolist())
+            fh.write("".join(["%.9g,%.9g,%d\n" % row for row in rows]))
 
 
 def run_transient_verb(cfg: RunConfig) -> None:
@@ -105,16 +112,15 @@ def run_osc_check(cfg: RunConfig) -> None:
 def run_gate_verb(cfg: RunConfig) -> None:
     circuit = LogicCircuit(m1=cfg.device, m2=cfg.device, r_common=cfg.r_common,
                            v_hold_level=cfg.v0)
-    s1, s2, cycled = relax_program(circuit, cfg.v1, cfg.v2, cfg.v3)
+    m1, m2, cycled = relax_program(circuit, cfg.v1, cfg.v2, cfg.v3)
     with _output(cfg) as fh:
         fh.write("a,b,m1,m2\n")
-        for (a, b), m1, m2 in zip(INPUT_PAIRS, s1.tolist(), s2.tolist()):
-            fh.write("%d,%d,%d,%d\n" % (a, b, m1, m2))
-        for register, s in (("m1", s1), ("m2", s2)):
-            # input pair k = 2a+b is bit k of the code
-            code = int(np.packbits(s, bitorder="little")[0])
+        # input pair k = 2a+b is bit k of the code
+        for k, (a, b) in enumerate(INPUT_PAIRS):
+            fh.write("%d,%d,%d,%d\n" % (a, b, m1 >> k & 1, m2 >> k & 1))
+        for register, code in (("m1", m1), ("m2", m2)):
             fh.write("code_%s = %d (%s)\n" % (register, code, GATE_NAMES[code]))
-        fh.write("oscillated = %s\n" % ("true" if cycled.any() else "false"))
+        fh.write("oscillated = %s\n" % ("true" if cycled else "false"))
 
 
 # CSV row ending by code_m1 * 16 + code_m2, and 256 for an oscillating cell

@@ -3,9 +3,9 @@
 Top-level keys: verb, seed, out, emulator, device, circuit, source, digitize,
 sweep. The emulator and device blocks take the fields of EmulatorParams and
 DeviceParams; SCHEMA is the reference for every other key and drives parsing,
-defaults, bounds and serialisation. Unknown keys are rejected; defaults are
-filled in so a loaded config is fully resolved and can be echoed verbatim in
-the run header.
+defaults, bounds and serialisation, and with _BLOCKS it defines RunConfig's
+fields. Unknown keys are rejected; defaults are filled in so a loaded config is
+fully resolved and can be echoed verbatim in the run header.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, fields, make_dataclass, replace
 from typing import Callable, NamedTuple
 
-from .device import DeviceParams, EmulatorParams, derive_device_params
+from .device import EmulatorParams, derive_device_params
 from .circuit import SourceWaveform
 from .logic import LogicCircuit
 
@@ -26,32 +26,6 @@ MAX_ROWS = 10**8  # the most iv points, transient samples or map cells of a run
 
 class ConfigError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    verb: str
-    seed: int
-    out: str | None
-    emulator: EmulatorParams
-    device: DeviceParams
-    r1: float | None = None
-    dt: float | None = None
-    t_end: float | None = None
-    source: SourceWaveform | None = None
-    digitize: tuple[float, float, float] | None = None  # threshold, high, low
-    r_common: float | None = None
-    v0: float | None = None
-    v1: float | None = None
-    v2: float | None = None
-    v3: float | None = None
-    duration: float | None = None
-    iv_amplitude: float | None = None
-    iv_points: int | None = None
-    v1_axis: tuple[float, float, float] | None = None  # min, max, step
-    v2_axis: tuple[float, float, float] | None = None
-    sweep_param: str | None = None
-    sweep_values: tuple[float, ...] | None = None
 
 
 def _want(ok: bool, val, where: str, what: str):
@@ -173,6 +147,12 @@ _BLOCKS = {
 }
 # top-level keys besides those in SCHEMA
 _TOP = ["verb", "emulator", "device", *filter(None, _BLOCKS)]
+
+RunConfig = make_dataclass("RunConfig", ["verb", "emulator", "device"] + [
+    (name, object, None) for name in dict.fromkeys(
+        k.block if _BLOCKS[k.block] else k.field or k.name for k in SCHEMA)],
+    frozen=True, namespace={"__module__": __name__, "__doc__": "A loaded "
+    "config, fields in SCHEMA order; those its verb does not take are None."})
 
 
 def _keys(verb: str, block: str) -> list[Key]:

@@ -12,11 +12,13 @@ repeat until a fixed point or a revisited state (cycle = would-be oscillation).
 
 relax_program is the one kernel that `gate` and `map` run, for every (v1, v2)
 point and input pair at once: init's 4-state transition table (_table) is
-walked from OFF, then all 256 possible tables from its four states, and each
-point gathers the row of its calc table. Both holds are the identity and are
-skipped, so a run makes 8 solve_node calls and reads no phase duration. The
-scalar chain _threshold_update -> relax_phase -> run_sequence -> run_gate is
-its oracle in the tests and in perfbench/, which wraps run_gate and solve_node.
+walked from OFF, then all 256 possible tables from its four states, and their
+outcomes are packed once into three 0-15 codes per table (input pair (a, b) at
+bit 2a+b): M1's and M2's gate codes and the cycled pairs. Each point gathers
+them by its calc table. Both holds are the identity and are skipped, so a run
+makes 8 solve_node calls and reads no phase duration. The scalar chain
+_threshold_update -> relax_phase -> run_sequence -> run_gate is its oracle in
+the tests and in perfbench/, which wraps run_gate and solve_node.
 """
 
 from __future__ import annotations
@@ -224,9 +226,9 @@ def _walk(table, state):
 
 def relax_program(c: LogicCircuit, v1, v2, v3: float
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Final (s1, s2, cycled) of the canonical program at every (v1, v2):
-    bool arrays of shape broadcast(v1, v2) + (4,), equal to run_sequence's
-    (s1, s2, oscillated) for input pair k = 2a+b at index k of the last axis.
+    """Gate codes m1, m2 and the cycled mask of the canonical program at every
+    (v1, v2): uint8 arrays of shape broadcast(v1, v2) whose bit k holds
+    run_sequence's s1, s2 and oscillated for input pair k = 2a+b.
     LogicCircuit keeps v_hold_pos < v0 < v_th_pos, so no switching condition
     holds in either hold phase and both are skipped."""
     a, b = np.array(INPUT_PAIRS, dtype=bool).T
@@ -234,9 +236,11 @@ def relax_program(c: LogicCircuit, v1, v2, v3: float
                                  np.where(b, INIT_HIGH, INIT_LOW), 0.0, True),
                           np.zeros(4, dtype=np.uint8))
     final, cyc = _walk(np.arange(256, dtype=np.uint8)[:, None], state)
+    codes = np.packbits([final >= 2, final & 1, cycled | cyc], axis=-1,
+                        bitorder="little")[..., 0]
     calc = _table(c, np.asarray(v1, dtype=float), np.asarray(v2, dtype=float),
                   v3, False)
-    return (final >= 2)[calc], (final & 1).view(bool)[calc], (cycled | cyc)[calc]
+    return tuple(code[calc] for code in codes)
 
 
 def sweep_codes(c: LogicCircuit, v3: float, v1_axis, v2_axis
@@ -250,9 +254,5 @@ def sweep_codes(c: LogicCircuit, v3: float, v1_axis, v2_axis
     v2_axis = np.asarray(v2_axis, dtype=float)
     if len(v1_axis) == 0 or len(v2_axis) == 0:
         raise ValueError("sweep axes must be nonempty")
-    s1, s2, cycled = relax_program(c, v1_axis[:, None], v2_axis[None, :], v3)
-    # input pair k = 2a+b is bit k of the code
-    oscillated = cycled.any(axis=-1)
-    return tuple(np.where(oscillated, OSCILLATING_CODE,
-                          np.packbits(s, axis=-1, bitorder="little")[..., 0])
-                 .astype(np.uint8) for s in (s1, s2))
+    *codes, cycled = relax_program(c, v1_axis[:, None], v2_axis[None, :], v3)
+    return tuple(np.where(cycled > 0, np.uint8(OSCILLATING_CODE), m) for m in codes)

@@ -3,9 +3,11 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voltmem import cli
 from voltmem.circuit import SeriesCircuit, digitize, run_transient
@@ -174,6 +176,24 @@ class TestVerbs:
         assert "unrecognized arguments: --jobs 4" in err
         assert "Traceback" not in err
 
+    # sweep.points admits 1e8, so iv keeps one bool state per point and
+    # formats its rows a chunk at a time; a list of every row took ~120
+    # bytes per point
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_iv_peak_memory_per_point(self, tmp_path, sigma):
+        points = 10**5
+        cfg = write_config(tmp_path, {"device": {"jitter_sigma": sigma},
+                                      "sweep": {"points": points}})
+        out = tmp_path / "iv.csv"
+        tracemalloc.start()
+        try:
+            assert main(["iv", "--config", cfg, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.read_text().splitlines()) > points
+        assert peak < 32 * points
+
     # -4: the zero-volt rows print 0, never -0; 1e12: the largest amplitude
     # a config takes prints finite voltages and currents
     @pytest.mark.parametrize("amplitude", [-4.0, 1e12])
@@ -223,9 +243,26 @@ GATE_DOCS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GATE_DOCS))
-def test_gate_bytes_match_oracle_text(tmp_path, capsys, name):
-    doc = GATE_DOCS[name]
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+# a config takes 0 or a magnitude of at least 1e-12
+volts = st.floats(-6.0, 6.0).map(lambda v: v if abs(v) >= 1e-12 else 0.0)
+
+
+@st.composite
+def gate_docs(draw):
+    """Random devices, common resistors and calc voltages; about one draw in
+    seven oscillates."""
+    return {"emulator": {"r_int": draw(_log_uniform(20.0, 5000.0))},
+            "circuit": {"r_common": draw(_log_uniform(10.0, 1e4)),
+                        "v1": draw(volts), "v2": draw(volts), "v3": draw(volts)}}
+
+
+def _check_gate_bytes(tmp_path, capsys, doc):
+    """The gate verb decodes each input pair's states and both codes from
+    the kernel's code bits; the text built from run_gate must match it."""
     cfg = load_config(json.dumps(dict(doc, verb="gate")))
     c = LogicCircuit(m1=cfg.device, m2=cfg.device, r_common=cfg.r_common,
                      v_hold_level=cfg.v0)
@@ -233,7 +270,7 @@ def test_gate_bytes_match_oracle_text(tmp_path, capsys, name):
                                         duration=cfg.duration))
     rows = ["%d,%d,%d,%d\n" % (pair + res.final_states[pair])
             for pair in INPUT_PAIRS]
-    if name == "oscillating":
+    if doc == GATE_DOCS["oscillating"]:
         assert rows == ["0,0,1,1\n", "0,1,1,1\n", "1,0,1,1\n", "1,1,0,0\n"]
         assert res.label_m1 == res.label_m2 == "NAND" and res.oscillated
     want = ("".join(f"# {line}\n" for line in header_lines(cfg))
@@ -243,6 +280,18 @@ def test_gate_bytes_match_oracle_text(tmp_path, capsys, name):
             + f"oscillated = {'true' if res.oscillated else 'false'}\n")
     assert main(["gate", "--config", write_config(tmp_path, doc)]) == 0
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("name", sorted(GATE_DOCS))
+def test_gate_bytes_match_oracle_text(tmp_path, capsys, name):
+    _check_gate_bytes(tmp_path, capsys, GATE_DOCS[name])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=gate_docs())
+def test_gate_bytes_match_oracle_text_at_random_points(tmp_path, capsys, doc):
+    _check_gate_bytes(tmp_path, capsys, doc)
 
 
 @pytest.mark.parametrize("verb, doc, marker", [

@@ -150,20 +150,21 @@ OSCILLATING_DEVICE = derive_device_params(EmulatorParams(r_int=100.0))
                         r_common=500.0), v3=5.0, v1_v2=(-2.0, -2.0))
 def test_kernel_states_match_scalar_oracle(c, v3, v1_v2):
     """Final states too, not only codes: a cycled pair's states are what
-    gate prints, while its map cell is 255 whatever they are."""
+    gate prints, while its map cell is 255 whatever they are. Bit k of each
+    code holds input pair k = 2a+b."""
     v1, v2 = v1_v2
     shape = np.broadcast_shapes(np.shape(v1), np.shape(v2))
     got = relax_program(c, v1, v2, v3)
     for arr in got:
-        assert arr.dtype == bool and arr.shape == shape + (4,)
+        assert arr.dtype == np.uint8 and arr.shape == shape and np.all(arr < 16)
     v1, v2 = np.broadcast_to(v1, shape), np.broadcast_to(v2, shape)
     for cell in np.ndindex(shape):
         prog = canonical_program(float(v1[cell]), float(v2[cell]), v3,
                                  v0=c.v_hold_level)
         for k, pair in enumerate(INPUT_PAIRS):
             s1, s2, oscillated = run_sequence(c, prog, pair)
-            assert tuple(bool(arr[cell + (k,)]) for arr in got) == (
-                bool(s1), bool(s2), oscillated), (cell, pair)
+            assert tuple(int(arr[cell]) >> k & 1 for arr in got) == (
+                s1, s2, oscillated), (cell, pair)
 
 
 # r_int 220 devices under a 1 kohm common resistor at V3 = -1.9 V: a map
