@@ -18,7 +18,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .circuit import (_CSV_CHUNK_ROWS, ResolutionError, SeriesCircuit,
-                      SourceWaveform, digitize, run_transient)
+                      SourceWaveform, csv_rows, digitize, run_transient)
 from .config import ConfigError, RunConfig, axis_points
 from .device import condition_holds, derive_device_params
 from .logic import (GATE_NAMES, INPUT_PAIRS, OSCILLATING_CODE, LogicCircuit,
@@ -74,8 +74,7 @@ def run_iv_sweep(cfg: RunConfig) -> None:
         for start in range(0, n, _CSV_CHUNK_ROWS):
             v, conducting = volts(start), states[start:start + _CSV_CHUNK_ROWS]
             i = v / np.where(conducting, d.r_on, d.r_off)
-            rows = zip(v.tolist(), i.tolist(), conducting.tolist())
-            fh.write("".join(["%.9g,%.9g,%d\n" % row for row in rows]))
+            fh.write(csv_rows([v, i, conducting]))
 
 
 def run_transient_verb(cfg: RunConfig) -> None:

@@ -1,0 +1,133 @@
+"""The CSV row writer against Python's own `"%.9g" % v`, value by value.
+
+`circuit.csv_rows` formats floats in numpy, with a per-value fallback to
+Python near rounding ties and outside 1e-13 <= |v| < 1e30; every output byte
+must equal Python's own text.
+"""
+
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from voltmem.circuit import _CSV_CHUNK_ROWS, Trace, csv_rows
+
+RNG = np.random.default_rng(20261018)
+
+
+def assert_g9(values):
+    """csv_rows writes each value as "%.9g" % v, in chunks of the size the
+    trace writer uses."""
+    x = np.asarray(values, dtype=float).ravel()
+    for start in range(0, len(x), _CSV_CHUNK_ROWS):
+        chunk = x[start:start + _CSV_CHUNK_ROWS]
+        got = csv_rows([chunk]).split("\n")
+        want = ["%.9g" % v for v in chunk.tolist()] + [""]
+        wrong = [(v, g, w) for v, g, w in zip(chunk.tolist(), got, want)
+                 if g != w]
+        assert not wrong and len(got) == len(want), wrong[:5]
+
+
+def neighbours(x):
+    """x and the doubles one ulp above and below it."""
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+
+
+def with_signs(x):
+    return np.concatenate([x, -np.asarray(x)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+def test_random_bit_patterns(bits):
+    # every class of double: finite, subnormal, infinite and NaN
+    assert_g9(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def test_random_bit_patterns_in_bulk():
+    assert_g9(RNG.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64))
+
+
+def test_log_uniform_magnitudes():
+    assert_g9(with_signs(10.0 ** RNG.uniform(-25.0, 25.0, 100_000)))
+
+
+def test_decimals_and_their_neighbours():
+    # m * 10**k with m below 1e9 prints as exactly its own digits
+    m = RNG.integers(0, 10**9, 20_000)
+    k = RNG.integers(-20, 25, 20_000)
+    assert_g9(with_signs(neighbours([float(f"{a}e{b}") for a, b in zip(m, k)])))
+
+
+def test_rounding_ties_and_their_neighbours():
+    m = RNG.integers(10**7, 10**9, 10_000)
+    k = RNG.integers(-20, 25, 10_000)
+    # the doubles nearest a decimal tie, whose rounding the fast path refuses
+    near = [float(f"{a}5e{b}") for a, b in zip(m, k)]
+    # ties held exactly by a double, which "%.9g" rounds half to even:
+    # 9-digit integers plus 0.5, 8-digit plus 0.25 or 0.75, and 10-digit
+    # integers ending in 5 times 10**j
+    m9, m8 = RNG.integers(10**8, 10**9, 2000), RNG.integers(10**7, 10**8, 2000)
+    ten = RNG.integers(10**8, 10**9, 2000) * 10 + 5
+    exact = [Fraction(int(a)) + Fraction(1, 2) for a in m9]
+    exact += [Fraction(int(a)) + Fraction(q, 4) for a in m8 for q in (1, 3)]
+    exact += [Fraction(int(a) * 10**j) for a in ten[:200] for j in range(6)]
+    assert all(Fraction(float(v)) == v for v in exact)
+    assert_g9(with_signs(neighbours(near + [float(v) for v in exact])))
+
+
+def test_powers_of_ten_and_their_neighbours():
+    powers = [float(f"1e{k}") for k in range(-320, 309)]
+    assert_g9(with_signs(neighbours(powers)))
+
+
+def test_edges():
+    edges = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+             999999999.5, 999999998.5, 999999999.4999999, 999999999.0,
+             1e9, 1e-5, 1e-4, 9.99999999e-5, 9.999999995e-5, 9.9999999949e-5,
+             99999.99995, 123456789.0, 12345678.9, 0.000123456789,
+             1e-13, 9.9999999999e-14, 1e30, 9.99999999999e29]
+    edges += [float(f"9.9999999995e{k}") for k in range(-320, 308)]
+    edges += RNG.integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64).tolist()
+    # the largest double has no finite neighbour above
+    ends = [1.7976931348623157e308, np.inf, np.nan]
+    assert_g9(with_signs(np.concatenate([neighbours(edges), ends])))
+
+
+def test_columns_bools_and_a_repeated_column():
+    x = np.array([0.5, -2.25e-7, 1e-5])
+    on = np.array([True, False, True])
+    assert csv_rows([x, on, x, x * 3]) == "".join(
+        "%.9g,%d,%.9g,%.9g\n" % (v, b, v, 3 * v)
+        for v, b in zip(x.tolist(), on.tolist()))
+
+
+class _Sink:
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+# the writer holds one chunk's text at a time, so its peak does not grow
+# with the trace, and a transient computed in blocks can stream through it
+@pytest.mark.parametrize("rows", [200_000, 400_000])
+def test_to_csv_peak_memory_is_bounded(rows):
+    t = np.arange(rows) * 1e-5
+    v = 8.0 * (t / 0.05 % 1.0)
+    trace = Trace(dt=1e-5, t=t, v_applied=v, v_device=0.4 * v,
+                  conducting=v > 4.0, current=v / 1380.0)
+    logic = np.where(v > 2.0, 5.0, 0.0)
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        trace.to_csv(sink, logic)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 40 * rows
+    assert peak < 2_000_000
