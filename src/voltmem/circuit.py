@@ -19,61 +19,47 @@ from .device import DeviceParams, condition_holds
 
 _CSV_CHUNK_ROWS = 4096
 
-# _g9 builds each value's text from a palette of five little-endian uint32
-# words: its 9 mantissa digits three to a word, each word closed by one of
-# '-', '.' and '0', then 'e' with the signed two-digit exponent, then NUL,
-# which pads the text to 16 bytes, the length of the longest "%.9g" text of
-# a double ("-2.22507386e-308")
-_MINUS, _DOT, _ZERO, _E, _EXP_SIGN, _NUL = 3, 7, 11, 12, 13, 16
-_DIGIT_SLOTS = [k + k // 3 for k in range(9)]
-
-
-def _unsigned_layout(notation: int, length: int) -> list:
-    """Palette slots of the text of a `length`-digit mantissa: notation 0-12
-    is fixed-point at decimal exponent notation - 4, 13 the exponent form
-    and 14 zero."""
-    digits = _DIGIT_SLOTS[:length]
-    if notation == 14:
-        return [_ZERO]
-    if notation == 13:
-        fraction = [_DOT] + digits[1:] if length > 1 else []
-        return digits[:1] + fraction + [_E, _EXP_SIGN, 14, 15]
-    e = notation - 4
-    if e < 0:
-        return [_ZERO, _DOT] + [_ZERO] * (-e - 1) + digits
-    fraction = [_DOT] + digits[e + 1:] if length > e + 1 else []
-    return _DIGIT_SLOTS[:e + 1] + fraction
-
 
 @functools.cache
 def _tables():
-    """_g9's lookup tables, built on its first call, so that the verbs that
-    write no CSV rows (`map`, `gate`, `osc-check`) neither build them nor
-    touch the memory that building them takes (about 0.7 MB of RSS)."""
-    k = np.arange(1000)
-    # indexed by e + 14 for e = -14..30: the exact doubles that scale 10**e
-    # to 1e8
+    """_g9's lookup tables, built on its first call, so that verbs that write
+    no CSV rows neither build them nor touch their memory. By c (see _g9):
+    `prefixes` by 2c + negative, `keeps` (the bytes kept of the two digit
+    words) by 10c + the count of significant digits, `tails` by 10c + digit 8."""
+    # indexed by c: the exact doubles that scale 10**e to 1e8
     up = np.array([float(10 ** (8 - e)) if e <= 8 else 1.0 for e in range(-14, 31)])
     down = np.array([float(10 ** (e - 8)) if e > 8 else 1.0 for e in range(-14, 31)])
-    trailing_zeros = sum(k % 10 ** j == 0 for j in (1, 2, 3))  # of "%03d" % k
-    digit_words = ((48 + k // 100) | (48 + k // 10 % 10) << 8 | (48 + k % 10) << 16
-                   | np.array([ord("-"), ord("."), ord("0")])[:, None] << 24
-                   ).astype("<u4")
-    # indexed by e + 14 for e = -14..31
-    exp_words = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-14, 32)),
-                              dtype="<u4")
-    # column (notation * 9 + length - 1) * 2 + negative: that text's 16 slots
-    unsigned = np.array([(_unsigned_layout(notation, length) + [_NUL] * 16)[:16]
-                         for notation in range(15) for length in range(1, 10)]).T
-    layouts = np.full((16, 270), _MINUS, dtype=np.intp)
-    layouts[:, 0::2] = unsigned
-    layouts[1:, 1::2] = unsigned[:15]  # no unsigned text is over 14 bytes
-    return up, down, trailing_zeros, digit_words, exp_words, layouts
+    # the count of significant digits of "%04d" % k; that text, a '.' after each digit
+    k = np.arange(10000)
+    significant = (4 - sum(k % 10 ** j == 0 for j in range(1, 5))).astype(np.uint8)
+    quads = np.full((10000, 8), ord("."), dtype=np.uint8)
+    quads[:, 0::2] = 48 + k[:, None] // [1000, 100, 10, 1] % 10
+    e, length = np.arange(-14, 32)[:, None], np.arange(10)
+    fixed, exponent = (e >= 0) & (e <= 8), (e < -4) | (e > 8) & (e < 31)
+    shown = np.where(fixed, np.maximum(length, e + 1), length) * (e < 31)
+    dot = np.where(fixed & (length > e + 1), e,
+                   np.where(exponent & (length > 1), 0, -1))
+    slot = np.arange(16)  # digits 0-7, each followed by its dot slot
+    keeps = np.where(slot % 2 == 0, slot // 2 < shown[..., None],
+                     slot // 2 == dot[..., None]).astype(np.uint8) * 255
+    lead = [b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"0" * (e == 31)
+            for e in range(-14, 32)]
+    prefixes = b"".join((sign + text).ljust(8, b"\0")
+                        for text in lead for sign in (b"", b"-"))
+    tails = b"".join((b"%d" % d if d or e == 8 else b"\0")
+                     + (b"\0e%+03d" % e if e < -4 or 8 < e < 31 else b"").ljust(7, b"\0")
+                     for e in range(-14, 32) for d in range(10))
+    return (up, down, significant, quads.view("<u8").ravel(),
+            keeps.view("<u8").reshape(-1, 2).T.copy(),
+            np.frombuffer(prefixes, "<u8"), np.frombuffer(tails, "<u8"))
 
 
-def _g9(x: np.ndarray) -> np.ndarray:
-    """`b"%.9g" % v` of each v of the float64 vector x, NUL-padded to 16
-    bytes, as a (16, len(x)) uint8 array: byte j of every text in row j.
+def _g9(x: np.ndarray, out: np.ndarray) -> None:
+    """Write `b"%.9g" % v` of each v of the float64 vector x into `out`, a
+    (4, len(x)) uint64 array, as four little-endian words of text with NUL
+    in each unused byte: the sign and the "0.000" of a small fixed-point
+    value; digits 0-3, then 4-7 of the mantissa, each followed by a slot for
+    the decimal point; digit 8, "e+XX" and a NUL left for the separator.
 
     Where 1e-13 <= |v| < 1e30, take e = floor(log10|v|), which may be one
     off next to a power of ten. Then y = |v| * 10**(8 - e) is one IEEE
@@ -85,56 +71,57 @@ def _g9(x: np.ndarray) -> np.ndarray:
     keep m at 9 digits (an e one too high gives y < 1e8), and m = 1e9
     carries to 1e8 at exponent e + 1. Zero has its own layout; every other
     value (near a tie, out of that range, or not finite) is formatted by
-    Python in its column.
+    Python in its column. The digits of m are split in integer arithmetic.
     """
-    up, down, trailing_zeros, digit_words, exp_words, layouts = _tables()
+    up, down, significant, quads, keeps, prefixes, tails = _tables()
     a = np.abs(x)
     fast = (a >= 1e-13) & (a < 1e30)
     a = np.where(fast, a, 1.0)  # no log10 of 0 and no overflow in the scaling
-    e = np.floor(np.log10(a)).astype(np.intp)
-    y = a * np.take(up, e + 14) / np.take(down, e + 14)
+    # c = e + 14 names the layout: fixed-point for e = -4..8, the exponent
+    # form for the rest of e = -14..30, and zero for c = 45
+    c = np.floor(np.log10(a)).astype(np.intp) + 14
+    y = a * np.take(up, c) / np.take(down, c)
     m = np.rint(y)
     # |y - m| is y's distance from a whole number, 0.5 minus that from a half
     fast &= (np.abs(y - m) < 0.5 - 1e-6) & (y >= 1e8) & (m <= 1e9)
     carry = fast & (m == 1e9)
-    e += carry
+    c += carry
+    c[x == 0] = 45
     m = np.where(fast & ~carry, m, 1e8).astype(np.intp)
-    hi, mid, lo = m // 1000000, m // 1000 % 1000, m % 1000
-    length = 9 - np.where(lo > 0, np.take(trailing_zeros, lo),
-                          np.where(mid > 0, 3 + np.take(trailing_zeros, mid),
-                                   6 + np.take(trailing_zeros, hi)))
-    palette = np.zeros((len(x), 5), dtype="<u4")
-    for word, part in enumerate((hi, mid, lo)):
-        palette[:, word] = np.take(digit_words[word], part)
-    palette[:, 3] = np.take(exp_words, e + 14)
-    notation = np.where(x == 0, 14, np.where((e >= -4) & (e <= 8), e + 4, 13))
-    slots = np.take(layouts, (notation * 9 + length - 1) * 2 + np.signbit(x),
-                    axis=1)
-    slots += np.arange(0, 20 * len(x), 20)
-    text = np.take(palette.view(np.uint8).ravel(), slots)
+    q, r, d8 = m // 100000, m % 100000 // 10, m % 10  # digits 0-3, 4-7, 8
+    length = np.where(d8 > 0, 9, np.where(r > 0, 4 + np.take(significant, r),
+                                          np.take(significant, q)))
+    k = 10 * c + length
+    np.take(prefixes, 2 * c + np.signbit(x), out=out[0], mode="clip")
+    np.bitwise_and(np.take(quads, q), np.take(keeps[0], k), out=out[1])
+    np.bitwise_and(np.take(quads, r), np.take(keeps[1], k), out=out[2])
+    np.take(tails, 10 * c + d8, out=out[3], mode="clip")
     for i in np.flatnonzero(~fast & (x != 0)):
-        text[:, i] = np.frombuffer((b"%.9g" % x[i]).ljust(16, b"\0"),
-                                   dtype=np.uint8)
-    return text
+        out[:, i] = np.frombuffer((b"%.9g" % x[i]).ljust(32, b"\0"), dtype="<u8")
 
 
 def csv_rows(cols) -> str:
     """CSV rows of the equal-length vectors `cols`, one per index: a float as
     `"%.9g" % v`, a bool as 0 or 1. A vector given more than once (the same
     object) is formatted once."""
-    first = {}  # the first column of each vector
-    rows = np.zeros((len(cols[0]), len(cols), 17), dtype=np.uint8)
-    for j, col in enumerate(cols):
+    # the words of each column, a float's four (see _g9) and a bool's one
+    starts = np.cumsum([0] + [1 if col.dtype == bool else 4 for col in cols])
+    words = np.empty((starts[-1], len(cols[0])), dtype=np.uint64)
+    first = {}  # the first word of each vector
+    for col, j, end in zip(cols, starts, starts[1:]):
         k = first.setdefault(id(col), j)
         if k < j:
-            rows[:, j] = rows[:, k]
+            words[j:end] = words[k:k + end - j]
         elif col.dtype == bool:
-            rows[:, j, 0] = col + ord("0")
+            words[j] = col + ord("0")
         else:
-            rows[:, j, :16] = _g9(np.asarray(col, dtype=float)).T
-    rows[:, :, 16] = ord(",")
-    rows[:, -1, 16] = ord("\n")
-    return rows.tobytes().translate(None, b"\0").decode("ascii")
+            _g9(np.asarray(col, dtype=float), words[j:end])
+    # the separator is the last byte of each column's last word
+    words[starts[1:-1] - 1] |= ord(",") << 56
+    words[-1] |= ord("\n") << 56
+    text = words.T.tobytes()
+    del words  # so that only one copy is held while the NULs are dropped
+    return text.translate(None, b"\0").decode("ascii")
 
 
 class ResolutionError(ValueError):
@@ -267,7 +254,6 @@ def run_transient(c: SeriesCircuit, dt: float, t_end: float, seed: int = 0) -> T
         raise ResolutionError(
             f"dt={dt} too coarse: must be <= t_actuate/4 = {c.device.t_actuate / 4.0}")
 
-    rng = np.random.default_rng(seed)
     n = int(round(t_end / dt)) + 1
     t = np.arange(n) * dt
     v_applied = c.source.value(t)
@@ -283,15 +269,16 @@ def run_transient(c: SeriesCircuit, dt: float, t_end: float, seed: int = 0) -> T
     hold, elapsed = 1, 0.0 + dt
     while not elapsed >= p.t_actuate and hold <= n:
         hold, elapsed = hold + 1, elapsed + dt
-    # step_device draws an offset pair (two rng.normal calls) on each step
-    # that starts with no switch pending; batches give the same stream
-    drawn = np.empty((0, 2))  # pairs drawn but not yet used by a step
+    # step_device draws an offset pair (two rng.normal calls) per step with no switch
+    # pending; batches give the same stream, from a generator made at the first draw
+    drawn, rng = np.empty((0, 2)), None  # pairs drawn but not yet used by a step
 
     def offsets(a, b):  # unused pairs a..b-1, one per step with no switch pending
-        nonlocal drawn
+        nonlocal drawn, rng
         if not sigma > 0:
             return 0.0, 0.0
         if b > len(drawn):
+            rng = rng or np.random.default_rng(seed)
             more = rng.normal(0.0, sigma, size=(max(b, 2 * len(drawn)) - len(drawn), 2))
             drawn = np.concatenate([drawn, more])
         return drawn[a:b, 0], drawn[a:b, 1]

@@ -17,8 +17,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import config as cfgmod
-from .circuit import (_CSV_CHUNK_ROWS, ResolutionError, SeriesCircuit,
-                      SourceWaveform, csv_rows, digitize, run_transient)
+from .circuit import (_CSV_CHUNK_ROWS, ResolutionError, SeriesCircuit, SourceWaveform,
+                      _first, csv_rows, digitize, run_transient)
 from .config import ConfigError, RunConfig, axis_points
 from .device import condition_holds, derive_device_params
 from .logic import (GATE_NAMES, INPUT_PAIRS, OSCILLATING_CODE, LogicCircuit,
@@ -53,10 +53,10 @@ def run_iv_sweep(cfg: RunConfig) -> None:
 
     The device switches at the first point where its condition holds, with no
     actuation delay, so the trace depends only on voltage, not on sweep rate.
-    Every point draws a fresh pair of threshold offsets, all 0.0 without jitter.
+    With jitter, every point draws a fresh pair of threshold offsets.
     """
     d, sigma = cfg.device, cfg.device.jitter_sigma
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed) if sigma > 0 else None
     n = cfg.iv_points
     sweep = SourceWaveform("triangle", amplitude=cfg.iv_amplitude, period=1.0)
     # in chunks, so that only the one bool state of each point is kept
@@ -64,11 +64,15 @@ def run_iv_sweep(cfg: RunConfig) -> None:
         return sweep.value(np.arange(k, min(k + _CSV_CHUNK_ROWS, n)) / (n - 1))
     on, states = False, np.empty(n, dtype=bool)
     for start in range(0, n, _CSV_CHUNK_ROWS):
-        v = volts(start).tolist()
-        offsets = rng.normal(0.0, sigma, (len(v), 2)).tolist()
-        for k, (vk, dk) in enumerate(zip(v, offsets), start):
-            on ^= bool(condition_holds(d, on, vk, dk))
-            states[k] = on
+        v, chunk = volts(start), states[start:start + _CSV_CHUNK_ROWS]
+        offsets = None if rng is None else rng.normal(0.0, sigma, (len(v), 2)).T
+        def holds(a, b):  # whether the condition of state `on` holds at a..b-1
+            return condition_holds(d, on, v[a:b], (0.0, 0.0) if offsets is None
+                                   else offsets[:, a:b])
+        chunk[:], flip = on, -1
+        # each point where the condition holds flips the state from there on
+        while (flip := _first(holds, flip + 1, len(v))) < len(v):
+            on = chunk[flip:] = not on
     with _output(cfg) as fh:
         fh.write("v,i,conducting\n")
         for start in range(0, n, _CSV_CHUNK_ROWS):
@@ -122,10 +126,15 @@ def run_gate_verb(cfg: RunConfig) -> None:
         fh.write("oscillated = %s\n" % ("true" if cycled else "false"))
 
 
+def _byte_table(texts) -> np.ndarray:
+    """The ASCII `texts` as the rows of a uint8 array, NUL-padded."""
+    return np.array([t.encode() for t in texts]).view(np.uint8).reshape(len(texts), -1)
+
+
 # CSV row ending by code_m1 * 16 + code_m2, and 256 for an oscillating cell
-_MAP_SUFFIXES = ["%d,%s,%d,%s,0\n" % (c1, GATE_NAMES[c1], c2, GATE_NAMES[c2])
-                 for c1 in range(16) for c2 in range(16)]
-_MAP_SUFFIXES.append("%d,OSC,%d,OSC,1\n" % (OSCILLATING_CODE, OSCILLATING_CODE))
+_SUFFIX_BYTES = _byte_table(
+    ["%d,%s,%d,%s,0\n" % (c1, GATE_NAMES[c1], c2, GATE_NAMES[c2]) for c1 in range(16)
+     for c2 in range(16)] + ["%d,OSC,%d,OSC,1\n" % (OSCILLATING_CODE, OSCILLATING_CODE)])
 # heatmap glyph by code byte
 _GLYPH_BYTES = np.frombuffer(
     (_MAP_GLYPHS + "?" * (OSCILLATING_CODE - 16) + _OSC_GLYPH).encode(),
@@ -142,14 +151,18 @@ def run_map_verb(cfg: RunConfig) -> None:
 
     code_m1 = codes[0].astype(np.intp)
     ends = np.where(code_m1 == OSCILLATING_CODE, 256, code_m1 * 16 + codes[1])
-    cols = ["%.9g," % v2 for v2 in v2_axis]
+    heads, cols = (_byte_table(["%.9g," % v for v in a]) for a in (v1_axis, v2_axis))
+    # about _CSV_CHUNK_ROWS cells at a time, in whole v1 rows
+    block = max(1, _CSV_CHUNK_ROWS // len(v2_axis))
     with _output(cfg) as fh:
         fh.write("# grid = %dx%d\n" % (len(v1_axis), len(v2_axis)))
         fh.write("v1,v2,code_m1,label_m1,code_m2,label_m2,oscillated\n")
-        for v1, row in zip(v1_axis, ends.tolist()):
-            head = "%.9g," % v1
-            fh.write("".join([head + col + _MAP_SUFFIXES[k]
-                              for col, k in zip(cols, row)]))
+        for start in range(0, len(v1_axis), block):
+            rows = slice(start, start + block)
+            parts = heads[rows, None], cols, _SUFFIX_BYTES.take(ends[rows], axis=0)
+            cells = np.concatenate([np.broadcast_to(p, ends[rows].shape + p.shape[-1:])
+                                    for p in parts], axis=2)
+            fh.write(cells.tobytes().translate(None, b"\0").decode("ascii"))
     sys.stdout.write(_heatmaps(codes, v1_axis))
 
 
