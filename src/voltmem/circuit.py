@@ -92,10 +92,10 @@ def _g9(x: np.ndarray, out: np.ndarray) -> None:
     length = np.where(d8 > 0, 9, np.where(r > 0, 4 + np.take(significant, r),
                                           np.take(significant, q)))
     k = 10 * c + length
-    np.take(prefixes, 2 * c + np.signbit(x), out=out[0], mode="clip")
+    np.take(prefixes, 2 * c + np.signbit(x), out=out[0])
     np.bitwise_and(np.take(quads, q), np.take(keeps[0], k), out=out[1])
     np.bitwise_and(np.take(quads, r), np.take(keeps[1], k), out=out[2])
-    np.take(tails, 10 * c + d8, out=out[3], mode="clip")
+    np.take(tails, 10 * c + d8, out=out[3])
     for i in np.flatnonzero(~fast & (x != 0)):
         out[:, i] = np.frombuffer((b"%.9g" % x[i]).ljust(32, b"\0"), dtype="<u8")
 

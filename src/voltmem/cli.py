@@ -17,8 +17,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import config as cfgmod
-from .circuit import (_CSV_CHUNK_ROWS, ResolutionError, SeriesCircuit, SourceWaveform,
-                      _first, csv_rows, digitize, run_transient)
+from .circuit import (_CSV_CHUNK_ROWS, ResolutionError, SeriesCircuit,
+                      SourceWaveform, csv_rows, digitize, run_transient)
 from .config import ConfigError, RunConfig, axis_points
 from .device import condition_holds, derive_device_params
 from .logic import (GATE_NAMES, INPUT_PAIRS, OSCILLATING_CODE, LogicCircuit,
@@ -64,15 +64,15 @@ def run_iv_sweep(cfg: RunConfig) -> None:
         return sweep.value(np.arange(k, min(k + _CSV_CHUNK_ROWS, n)) / (n - 1))
     on, states = False, np.empty(n, dtype=bool)
     for start in range(0, n, _CSV_CHUNK_ROWS):
-        v, chunk = volts(start), states[start:start + _CSV_CHUNK_ROWS]
-        offsets = None if rng is None else rng.normal(0.0, sigma, (len(v), 2)).T
-        def holds(a, b):  # whether the condition of state `on` holds at a..b-1
-            return condition_holds(d, on, v[a:b], (0.0, 0.0) if offsets is None
-                                   else offsets[:, a:b])
-        chunk[:], flip = on, -1
-        # each point where the condition holds flips the state from there on
-        while (flip := _first(holds, flip + 1, len(v))) < len(v):
-            on = chunk[flip:] = not on
+        v = volts(start)
+        offsets = (0.0, 0.0) if rng is None else rng.normal(0.0, sigma, (len(v), 2)).T
+        # where the condition of one state holds and the other's does not, the
+        # point sets the state; where both hold, it toggles the previous one
+        up, down = (condition_holds(d, state, v, offsets) for state in (False, True))
+        toggled = np.logical_xor.accumulate(up & down)
+        last = np.maximum.accumulate(np.where(up != down, np.arange(len(v)), -1))
+        chunk = np.where(last >= 0, up[last] ^ toggled[last], on) ^ toggled
+        states[start:start + len(v)], on = chunk, chunk[-1]
     with _output(cfg) as fh:
         fh.write("v,i,conducting\n")
         for start in range(0, n, _CSV_CHUNK_ROWS):

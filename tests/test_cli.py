@@ -7,10 +7,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
+from transient_oracle import run_transient_per_sample
 
 from voltmem import cli
-from voltmem.circuit import SeriesCircuit, digitize, run_transient
+from voltmem.circuit import SeriesCircuit, SourceWaveform, digitize, run_transient
 from voltmem.cli import main
 from voltmem.config import (ConfigError, axis_points, header_lines, load_config,
                             serialize)
@@ -435,3 +437,73 @@ class TestStdoutFailure:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == ["cannot write to stdout: Broken pipe"]
         assert (tmp_path / "got.csv").read_bytes() == want.read_bytes()
+
+
+def iv_rows_per_point(cfg):
+    """The `iv` rows of the per-point loop that the run walk replaced: one
+    offset pair drawn and one condition_holds per point, in sweep order."""
+    d, n = cfg.device, cfg.iv_points
+    sweep = SourceWaveform("triangle", amplitude=cfg.iv_amplitude, period=1.0)
+    v = sweep.value(np.arange(n) / (n - 1)).tolist()
+    offsets = np.random.default_rng(cfg.seed).normal(0.0, d.jitter_sigma, (n, 2))
+    on, rows = False, []
+    for vk, dk in zip(v, offsets.tolist()):
+        on ^= bool(cli.condition_holds(d, on, vk, dk))
+        rows.append("%.9g,%.9g,%d\n" % (vk, vk / (d.r_on if on else d.r_off), on))
+    return "v,i,conducting\n" + "".join(rows)
+
+
+# points across a chunk boundary, and jitter from none to switching at
+# almost every point
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(points=st.integers(3, 9000), amplitude=st.sampled_from([-4.0, 2.5, 4.0, 30.0]),
+       sigma=st.sampled_from([0.0, 0.05, 0.3, 5.0]), seed=st.integers(0, 2**32))
+def test_iv_matches_per_point_loop(tmp_path, points, amplitude, sigma, seed):
+    doc = {"seed": seed, "device": {"jitter_sigma": sigma},
+           "sweep": {"points": points, "amplitude": amplitude}}
+    out = tmp_path / "iv.csv"
+    assert main(["iv", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    rows = "".join(l for l in out.read_text().splitlines(True) if l[0] != "#")
+    assert rows == iv_rows_per_point(load_config(json.dumps(dict(doc, verb="iv"))))
+
+
+# imports numpy, runs the CLI in this child and prints its exit code and
+# whether numpy.random was loaded before and after the run
+_RANDOM_PROBE = """
+import sys
+import numpy
+before = "numpy.random" in sys.modules
+from voltmem.cli import main
+print(main(sys.argv[1:]), before, "numpy.random" in sys.modules)
+"""
+
+
+def loads_numpy_random(tmp_path, argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _RANDOM_PROBE, *argv], env=env,
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert proc.stdout.split()[0] == "0", proc.stderr
+    if proc.stdout.split()[1] == "True":
+        pytest.skip("import numpy alone loads numpy.random (numpy 1.x)")
+    return proc.stdout.split()[2] == "True"
+
+
+def test_only_jittered_runs_load_numpy_random(tmp_path):
+    assert not loads_numpy_random(tmp_path, ["transient", "--out", "t.csv"])
+    assert not loads_numpy_random(tmp_path, ["iv", "--out", "iv.csv"])
+    doc = dict(VERB_DOCS["transient"], device={"jitter_sigma": 0.05})
+    cfg = write_config(tmp_path, doc)
+    assert loads_numpy_random(tmp_path, ["transient", "--config", cfg, "--out", "j.csv"])
+    # its rows are those of the per-sample oracle, which makes its generator
+    # before the first step
+    run = load_config(json.dumps(dict(doc, verb="transient")))
+    trace = run_transient_per_sample(
+        SeriesCircuit(r1=run.r1, device=run.device, source=run.source),
+        run.dt, run.t_end, run.seed)
+    want = tmp_path / "want.csv"
+    with open(want, "w") as fh:
+        trace.to_csv(fh, digitize(trace, *run.digitize))
+    got = (tmp_path / "j.csv").read_text()
+    assert "".join(l for l in got.splitlines(True) if l[0] != "#") == want.read_text()
+    assert {l.split(",")[4] for l in want.read_text().splitlines()[1:]} == {"0", "1"}

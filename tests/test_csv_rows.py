@@ -97,6 +97,42 @@ def test_edges():
     assert_g9(with_signs(np.concatenate([neighbours(edges), ends])))
 
 
+def assert_rows(cols):
+    """csv_rows of the columns `cols` is their "%.9g" and "%d" text, with
+    every separator in place."""
+    rows = zip(*[col.tolist() for col in cols])
+    assert csv_rows(cols) == "".join(",".join(
+        "%d" % v if col.dtype == bool else "%.9g" % v for col, v in zip(cols, row))
+        + "\n" for row in rows)
+
+
+# fast-path values, zeros of both signs, subnormals, and values that fall
+# back to Python: near a tie, out of range, not finite
+EDGE_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -1e-320, 2.2250738585072009e-308, 999999999.5,
+     -999999998.5, 9.9999999995e-5, 1e-13, 9.9999999999e-14, 1e30, -1e31,
+     np.inf, -np.inf, np.nan, 123456789.0, -0.000123456789, 1e9, 12345678.9])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mixed_columns(data):
+    # two float columns and a bool, with the first float given twice: every
+    # kind of column both last (then followed by a newline) and not last
+    n = data.draw(st.integers(1, 30))
+    x, y = (np.array(data.draw(st.lists(EDGE_FLOATS, min_size=n, max_size=n)))
+            for _ in range(2))
+    on = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    assert_rows(data.draw(st.permutations([x, y, on, x])))
+
+
+def test_zeros_subnormals_and_fallbacks_not_last():
+    x = np.array([-0.0, 0.0, 5e-324, -4.9e-322, 999999999.5, 1e30, -np.inf,
+                  np.nan, 1e-14, 0.1, -2.5e-7, 1e9])
+    for cols in ([x, x > 0], [x, x], [x, -x, x]):
+        assert_rows(cols)
+
+
 def test_columns_bools_and_a_repeated_column():
     x = np.array([0.5, -2.25e-7, 1e-5])
     on = np.array([True, False, True])
