@@ -23,9 +23,9 @@ _CSV_CHUNK_ROWS = 4096
 @functools.cache
 def _tables():
     """_g9's lookup tables, built on its first call, so that verbs that write
-    no CSV rows neither build them nor touch their memory. By c (see _g9):
-    `prefixes` by 2c + negative, `keeps` (the bytes kept of the two digit
-    words) by 10c + the count of significant digits, `tails` by 10c + digit 8."""
+    no CSV rows neither build them nor touch their memory. Indexed by layout
+    code c (see _g9): `prefixes` by 2c + negative, `keeps` (bytes kept of the
+    two digit words) by 10c + significant digits, `tails` by 10c + digit 8."""
     # indexed by c: the exact doubles that scale 10**e to 1e8
     up = np.array([float(10 ** (8 - e)) if e <= 8 else 1.0 for e in range(-14, 31)])
     down = np.array([float(10 ** (e - 8)) if e > 8 else 1.0 for e in range(-14, 31)])

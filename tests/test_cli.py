@@ -6,16 +6,17 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-import pytest
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
-from transient_oracle import run_transient_per_sample
 
+from transient_oracle import run_transient_per_sample
 from voltmem import cli
 from voltmem.circuit import SeriesCircuit, SourceWaveform, digitize, run_transient
 from voltmem.cli import main
 from voltmem.config import (ConfigError, axis_points, header_lines, load_config,
                             serialize)
+from voltmem.device import condition_holds
 from voltmem.logic import (INPUT_PAIRS, LogicCircuit, canonical_program,
                            run_gate)
 
@@ -440,7 +441,7 @@ class TestStdoutFailure:
 
 
 def iv_rows_per_point(cfg):
-    """The `iv` rows of the per-point loop that the run walk replaced: one
+    """The `iv` rows of the per-point loop that the array scans replaced: one
     offset pair drawn and one condition_holds per point, in sweep order."""
     d, n = cfg.device, cfg.iv_points
     sweep = SourceWaveform("triangle", amplitude=cfg.iv_amplitude, period=1.0)
@@ -448,7 +449,7 @@ def iv_rows_per_point(cfg):
     offsets = np.random.default_rng(cfg.seed).normal(0.0, d.jitter_sigma, (n, 2))
     on, rows = False, []
     for vk, dk in zip(v, offsets.tolist()):
-        on ^= bool(cli.condition_holds(d, on, vk, dk))
+        on ^= bool(condition_holds(d, on, vk, dk))
         rows.append("%.9g,%.9g,%d\n" % (vk, vk / (d.r_on if on else d.r_off), on))
     return "v,i,conducting\n" + "".join(rows)
 
