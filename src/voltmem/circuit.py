@@ -25,13 +25,16 @@ def _tables():
     """_g9's lookup tables, built on its first call, so that verbs that write
     no CSV rows neither build them nor touch their memory. Indexed by layout
     code c (see _g9): `prefixes` by 2c + negative, `keeps` (bytes kept of the
-    two digit words) by 10c + significant digits, `tails` by 10c + digit 8."""
+    two digit words) by 10c + significant digits, `tails` by 10c + digit 8.
+    `significant` and `shown4` are indexed by a 4-digit group k: the count of
+    significant digits of "%04d" % k, and 4 more than that (0 for k = 0)."""
     # indexed by c: the exact doubles that scale 10**e to 1e8
     up = np.array([float(10 ** (8 - e)) if e <= 8 else 1.0 for e in range(-14, 31)])
     down = np.array([float(10 ** (e - 8)) if e > 8 else 1.0 for e in range(-14, 31)])
     # the count of significant digits of "%04d" % k; that text, a '.' after each digit
     k = np.arange(10000)
     significant = (4 - sum(k % 10 ** j == 0 for j in range(1, 5))).astype(np.uint8)
+    shown4 = np.where(k > 0, 4 + significant, 0).astype(np.uint8)
     quads = np.full((10000, 8), ord("."), dtype=np.uint8)
     quads[:, 0::2] = 48 + k[:, None] // [1000, 100, 10, 1] % 10
     e, length = np.arange(-14, 32)[:, None], np.arange(10)
@@ -49,7 +52,7 @@ def _tables():
     tails = b"".join((b"%d" % d if d or e == 8 else b"\0")
                      + (b"\0e%+03d" % e if e < -4 or 8 < e < 31 else b"").ljust(7, b"\0")
                      for e in range(-14, 32) for d in range(10))
-    return (up, down, significant, quads.view("<u8").ravel(),
+    return (up, down, significant, shown4, quads.view("<u8").ravel(),
             keeps.view("<u8").reshape(-1, 2).T.copy(),
             np.frombuffer(prefixes, "<u8"), np.frombuffer(tails, "<u8"))
 
@@ -73,7 +76,7 @@ def _g9(x: np.ndarray, out: np.ndarray) -> None:
     value (near a tie, out of that range, or not finite) is formatted by
     Python in its column. The digits of m are split in integer arithmetic.
     """
-    up, down, significant, quads, keeps, prefixes, tails = _tables()
+    up, down, significant, shown4, quads, keeps, prefixes, tails = _tables()
     a = np.abs(x)
     fast = (a >= 1e-13) & (a < 1e30)
     a = np.where(fast, a, 1.0)  # no log10 of 0 and no overflow in the scaling
@@ -88,9 +91,13 @@ def _g9(x: np.ndarray, out: np.ndarray) -> None:
     c += carry
     c[x == 0] = 45
     m = np.where(fast & ~carry, m, 1e8).astype(np.intp)
-    q, r, d8 = m // 100000, m % 100000 // 10, m % 10  # digits 0-3, 4-7, 8
-    length = np.where(d8 > 0, 9, np.where(r > 0, 4 + np.take(significant, r),
-                                          np.take(significant, q)))
+    # digits 0-3, 4-7 and 8, by floor division alone (int64 % is slower)
+    q, r10 = m // 100000, m // 10
+    r, d8 = r10 - q * 10000, m - r10 * 10
+    # the significant digits: 9 if d8 > 0, else 4 + those of r if r > 0,
+    # else those of q, which is at least 1 (q >= 1000)
+    length = np.maximum(np.maximum(np.take(shown4, r), np.take(significant, q)),
+                        (d8 > 0) * np.uint8(9))
     k = 10 * c + length
     np.take(prefixes, 2 * c + np.signbit(x), out=out[0])
     np.bitwise_and(np.take(quads, q), np.take(keeps[0], k), out=out[1])

@@ -4,11 +4,16 @@ Every verb computes its results, then writes CSV (or plain text for
 gate/osc-check) to one output sink prefixed with a reproducibility header:
 the fully resolved configuration plus the seed as `#` comment lines.
 Identical config + seed gives byte-identical output.
+
+A verb imports the modules it runs when it runs: `logic` for gate and map,
+`oscillation` for osc-check. The process entry is `run`; `main` is for
+callers in a running interpreter.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from contextlib import contextmanager
@@ -21,9 +26,6 @@ from .circuit import (_CSV_CHUNK_ROWS, ResolutionError, SeriesCircuit,
                       SourceWaveform, csv_rows, digitize, run_transient)
 from .config import ConfigError, RunConfig, axis_points
 from .device import condition_holds, derive_device_params
-from .logic import (GATE_NAMES, INPUT_PAIRS, OSCILLATING_CODE, LogicCircuit,
-                    relax_program, sweep_codes)
-from .oscillation import instability_lhs, is_unstable, onset_voltage
 
 _MAP_GLYPHS = "0123456789ABCDEF"
 _OSC_GLYPH = "*"
@@ -90,6 +92,7 @@ def run_transient_verb(cfg: RunConfig) -> None:
 
 
 def run_osc_check(cfg: RunConfig) -> None:
+    from .oscillation import instability_lhs, is_unstable, onset_voltage
     if cfg.sweep_param is None:
         d = cfg.device
         lines = ["onset_voltage = %.9g\n" % onset_voltage(d, cfg.r1),
@@ -113,6 +116,7 @@ def run_osc_check(cfg: RunConfig) -> None:
 
 
 def run_gate_verb(cfg: RunConfig) -> None:
+    from .logic import GATE_NAMES, INPUT_PAIRS, LogicCircuit, relax_program
     circuit = LogicCircuit(m1=cfg.device, m2=cfg.device, r_common=cfg.r_common,
                            v_hold_level=cfg.v0)
     m1, m2, cycled = relax_program(circuit, cfg.v1, cfg.v2, cfg.v3)
@@ -131,18 +135,9 @@ def _byte_table(texts) -> np.ndarray:
     return np.array([t.encode() for t in texts]).view(np.uint8).reshape(len(texts), -1)
 
 
-# CSV row ending by code_m1 * 16 + code_m2, and 256 for an oscillating cell
-_SUFFIX_BYTES = _byte_table(
-    ["%d,%s,%d,%s,0\n" % (c1, GATE_NAMES[c1], c2, GATE_NAMES[c2]) for c1 in range(16)
-     for c2 in range(16)] + ["%d,OSC,%d,OSC,1\n" % (OSCILLATING_CODE, OSCILLATING_CODE)])
-# heatmap glyph by code byte
-_GLYPH_BYTES = np.frombuffer(
-    (_MAP_GLYPHS + "?" * (OSCILLATING_CODE - 16) + _OSC_GLYPH).encode(),
-    dtype=np.uint8)
-
-
 def run_map_verb(cfg: RunConfig) -> None:
     """The (V1, V2) gate-map sweep: CSV to the output sink, heatmaps to stdout."""
+    from .logic import GATE_NAMES, OSCILLATING_CODE, LogicCircuit, sweep_codes
     circuit = LogicCircuit(m1=cfg.device, m2=cfg.device, r_common=cfg.r_common,
                            v_hold_level=cfg.v0)
     v1_axis = axis_points(cfg.v1_axis)
@@ -152,6 +147,11 @@ def run_map_verb(cfg: RunConfig) -> None:
     code_m1 = codes[0].astype(np.intp)
     ends = np.where(code_m1 == OSCILLATING_CODE, 256, code_m1 * 16 + codes[1])
     heads, cols = (_byte_table(["%.9g," % v for v in a]) for a in (v1_axis, v2_axis))
+    # the row ending by code_m1 * 16 + code_m2, and 256 for an oscillating cell
+    suffixes = _byte_table(
+        ["%d,%s,%d,%s,0\n" % (c1, GATE_NAMES[c1], c2, GATE_NAMES[c2])
+         for c1 in range(16) for c2 in range(16)]
+        + ["%d,OSC,%d,OSC,1\n" % (OSCILLATING_CODE, OSCILLATING_CODE)])
     # about _CSV_CHUNK_ROWS cells at a time, in whole v1 rows
     block = max(1, _CSV_CHUNK_ROWS // len(v2_axis))
     with _output(cfg) as fh:
@@ -159,18 +159,22 @@ def run_map_verb(cfg: RunConfig) -> None:
         fh.write("v1,v2,code_m1,label_m1,code_m2,label_m2,oscillated\n")
         for start in range(0, len(v1_axis), block):
             rows = slice(start, start + block)
-            parts = heads[rows, None], cols, _SUFFIX_BYTES.take(ends[rows], axis=0)
+            parts = heads[rows, None], cols, suffixes.take(ends[rows], axis=0)
             cells = np.concatenate([np.broadcast_to(p, ends[rows].shape + p.shape[-1:])
                                     for p in parts], axis=2)
             fh.write(cells.tobytes().translate(None, b"\0").decode("ascii"))
-    sys.stdout.write(_heatmaps(codes, v1_axis))
+    # the heatmap glyph by code byte
+    glyphs = np.frombuffer(
+        (_MAP_GLYPHS + "?" * (OSCILLATING_CODE - 16) + _OSC_GLYPH).encode(),
+        dtype=np.uint8)
+    sys.stdout.write(_heatmaps(codes, v1_axis, glyphs))
 
 
-def _heatmaps(codes, v1_axis) -> str:
+def _heatmaps(codes, v1_axis, glyph_bytes) -> str:
     blocks = []
     for register, reg_codes in zip(("M1", "M2"), codes):
         # rows run from the highest v2 down, columns over v1
-        glyphs = _GLYPH_BYTES[reg_codes.T[::-1]]
+        glyphs = glyph_bytes[reg_codes.T[::-1]]
         lines = np.column_stack(
             [glyphs, np.full(len(glyphs), ord("\n"), dtype=np.uint8)])
         blocks.append(
@@ -219,5 +223,14 @@ def main(argv=None) -> int:
     return 0
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry (the `voltmem` script, `python -m voltmem.cli`).
+    What is imported by now lives until exit, so gc.freeze keeps it out of
+    every collection, the interpreter's final ones included; main, for
+    callers in a running interpreter, never freezes their heap."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple
 
 from .device import EmulatorParams, derive_device_params
 from .circuit import SourceWaveform
-from .logic import LogicCircuit
 
 VERBS = ("iv", "transient", "osc-check", "gate", "map")
 MAX_ROWS = 10**8  # the most iv points, transient samples or map cells of a run
@@ -264,6 +263,7 @@ def load_config_dict(raw: dict) -> RunConfig:
         _want(cells <= MAX_ROWS, cells, "sweep.v1 x sweep.v2",
               f"at most {MAX_ROWS} cells")
     if verb in _GM:
+        from .logic import LogicCircuit  # only gate and map load the logic model
         _build("circuit (r_common, v0)", LogicCircuit, m1=device, m2=device,
                r_common=cfg.r_common, v_hold_level=cfg.v0)
         _want(cfg.duration >= 10.0 * device.t_actuate, cfg.duration,

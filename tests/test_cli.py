@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -508,3 +509,68 @@ def test_only_jittered_runs_load_numpy_random(tmp_path):
     got = (tmp_path / "j.csv").read_text()
     assert "".join(l for l in got.splitlines(True) if l[0] != "#") == want.read_text()
     assert {l.split(",")[4] for l in want.read_text().splitlines()[1:]} == {"0", "1"}
+
+
+# the cases of the entry-path test: every verb to stdout and to --out, a
+# config error (exit 2) and a numerical guard violation (exit 3)
+ENTRY_CASES = [(verb, VERB_DOCS[verb], out) for verb in sorted(VERB_DOCS)
+               for out in (False, True)] + [
+    ("iv", {"emulator": {"r_int": -5}}, False),
+    ("transient", {"circuit": {"dt": 1e-3, "t_end": 0.05},
+                   "source": {"kind": "constant", "offset": 5.0}}, True),
+]
+
+
+@pytest.mark.parametrize("verb, doc, out", ENTRY_CASES)
+def test_process_entry_matches_main(tmp_path, capsys, verb, doc, out):
+    """`python -m voltmem.cli` (cli.run) gives what in-process main gives,
+    and main leaves the caller's heap unfrozen."""
+    argv = [verb, "--config", write_config(tmp_path, doc)]
+    outs = {side: tmp_path / f"{side}.csv" for side in ("main", "child")}
+    frozen = gc.get_freeze_count()
+    code = main(argv + (["--out", str(outs["main"])] if out else []))
+    assert gc.get_freeze_count() == frozen
+    captured = capsys.readouterr()
+    proc = run_child(tmp_path, argv + (["--out", str(outs["child"])] if out else []),
+                     subprocess.PIPE)
+    assert proc.returncode == code and code in (0, 2, 3)
+    assert proc.stdout == captured.out
+    assert proc.stderr.splitlines() == captured.err.splitlines()
+    main_bytes, child_bytes = (p.read_bytes() if p.exists() else None
+                               for p in outs.values())
+    assert child_bytes == main_bytes
+    assert (main_bytes is not None) == (out and code == 0)
+
+
+# runs the process entry in this child, then prints its exit code, whether
+# the heap was frozen and the voltmem modules loaded
+_ENTRY_PROBE = """
+import gc, sys
+from voltmem import cli
+try:
+    cli.run()
+except SystemExit as e:
+    code = e.code
+print(code, gc.get_freeze_count() > 0,
+      *sorted(m for m in sys.modules if m.startswith("voltmem.")))
+"""
+
+# the voltmem modules that each verb loads: logic only for gate and map,
+# oscillation only for osc-check
+_CORE = ["voltmem.circuit", "voltmem.cli", "voltmem.config", "voltmem.device"]
+VERB_MODULES = {"iv": _CORE, "transient": _CORE,
+                "osc-check": sorted(_CORE + ["voltmem.oscillation"]),
+                "gate": sorted(_CORE + ["voltmem.logic"]),
+                "map": sorted(_CORE + ["voltmem.logic"])}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_MODULES))
+def test_each_verb_loads_only_its_modules(tmp_path, verb):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = [verb, "--config", write_config(tmp_path, VERB_DOCS[verb]),
+            "--out", "o.csv"]
+    proc = subprocess.run([sys.executable, "-c", _ENTRY_PROBE, *argv], env=env,
+                          cwd=tmp_path, capture_output=True, text=True)
+    code, frozen, *modules = proc.stdout.splitlines()[-1].split()
+    assert (code, frozen) == ("0", "True"), proc.stderr
+    assert modules == VERB_MODULES[verb]
