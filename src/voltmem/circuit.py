@@ -277,15 +277,16 @@ def run_transient(c: SeriesCircuit, dt: float, t_end: float, seed: int = 0) -> T
     while not elapsed >= p.t_actuate and hold <= n:
         hold, elapsed = hold + 1, elapsed + dt
     # step_device draws an offset pair (two rng.normal calls) per step with no switch
-    # pending; batches give the same stream, from a generator made at the first draw
-    drawn, rng = np.empty((0, 2)), None  # pairs drawn but not yet used by a step
+    # pending; batches give the same stream. Without jitter no generator is made,
+    # so numpy.random is never imported
+    rng = np.random.default_rng(seed) if sigma > 0 else None
+    drawn = np.empty((0, 2))  # pairs drawn but not yet used by a step
 
     def offsets(a, b):  # unused pairs a..b-1, one per step with no switch pending
-        nonlocal drawn, rng
-        if not sigma > 0:
+        nonlocal drawn
+        if rng is None:
             return 0.0, 0.0
         if b > len(drawn):
-            rng = rng or np.random.default_rng(seed)
             more = rng.normal(0.0, sigma, size=(max(b, 2 * len(drawn)) - len(drawn), 2))
             drawn = np.concatenate([drawn, more])
         return drawn[a:b, 0], drawn[a:b, 1]

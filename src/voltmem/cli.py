@@ -1,9 +1,10 @@
 """Command-line front end: iv, transient, osc-check, gate and map verbs.
 
-Every verb computes its results, then writes CSV (or plain text for
-gate/osc-check) to one output sink prefixed with a reproducibility header:
-the fully resolved configuration plus the seed as `#` comment lines.
-Identical config + seed gives byte-identical output.
+Every verb writes CSV (or plain text for gate/osc-check) to one output sink
+prefixed with a reproducibility header: the fully resolved configuration
+plus the seed as `#` comment lines. Identical config + seed gives
+byte-identical output. `iv` writes each chunk of its sweep as soon as it
+resolves it; the other verbs solve first, then write.
 
 A verb imports the modules it runs when it runs: `logic` for gate and map,
 `oscillation` for osc-check. The process entry is `run`; `main` is for
@@ -34,8 +35,9 @@ _OSC_GLYPH = "*"
 @contextmanager
 def _output(cfg: RunConfig):
     """The run's output sink, `--out` or stdout, with the `# ` resolved-config
-    header written; enter it only once the results are computed, so that a
-    failed run leaves no `--out` file."""
+    header written. A verb enters it only once nothing but a write can fail,
+    so that a failed run leaves no `--out` file: `iv` before its first chunk,
+    every other verb once its solver has returned."""
     header = "".join(f"# {line}\n" for line in cfgmod.header_lines(cfg))
     if cfg.out is None:
         sys.stdout.write(header)
@@ -61,24 +63,19 @@ def run_iv_sweep(cfg: RunConfig) -> None:
     rng = np.random.default_rng(cfg.seed) if sigma > 0 else None
     n = cfg.iv_points
     sweep = SourceWaveform("triangle", amplitude=cfg.iv_amplitude, period=1.0)
-    # in chunks, so that only the one bool state of each point is kept
-    def volts(k):  # the sweep voltages of the chunk from point k
-        return sweep.value(np.arange(k, min(k + _CSV_CHUNK_ROWS, n)) / (n - 1))
-    on, states = False, np.empty(n, dtype=bool)
-    for start in range(0, n, _CSV_CHUNK_ROWS):
-        v = volts(start)
-        offsets = (0.0, 0.0) if rng is None else rng.normal(0.0, sigma, (len(v), 2)).T
-        # where the condition of one state holds and the other's does not, the
-        # point sets the state; where both hold, it toggles the previous one
-        up, down = (condition_holds(d, state, v, offsets) for state in (False, True))
-        toggled = np.logical_xor.accumulate(up & down)
-        last = np.maximum.accumulate(np.where(up != down, np.arange(len(v)), -1))
-        chunk = np.where(last >= 0, up[last] ^ toggled[last], on) ^ toggled
-        states[start:start + len(v)], on = chunk, chunk[-1]
+    on = False  # the state at the end of the chunks written so far
     with _output(cfg) as fh:
         fh.write("v,i,conducting\n")
         for start in range(0, n, _CSV_CHUNK_ROWS):
-            v, conducting = volts(start), states[start:start + _CSV_CHUNK_ROWS]
+            v = sweep.value(np.arange(start, min(start + _CSV_CHUNK_ROWS, n)) / (n - 1))
+            offsets = (0.0, 0.0) if rng is None else rng.normal(0.0, sigma, (len(v), 2)).T
+            # where the condition of one state holds and the other's does not,
+            # the point sets the state; where both hold, it toggles the previous one
+            up, down = (condition_holds(d, state, v, offsets) for state in (False, True))
+            toggled = np.logical_xor.accumulate(up & down)
+            last = np.maximum.accumulate(np.where(up != down, np.arange(len(v)), -1))
+            conducting = np.where(last >= 0, up[last] ^ toggled[last], on) ^ toggled
+            on = conducting[-1]
             i = v / np.where(conducting, d.r_on, d.r_off)
             fh.write(csv_rows([v, i, conducting]))
 
@@ -137,17 +134,16 @@ def _byte_table(texts) -> np.ndarray:
 
 def run_map_verb(cfg: RunConfig) -> None:
     """The (V1, V2) gate-map sweep: CSV to the output sink, heatmaps to stdout."""
-    from .logic import GATE_NAMES, OSCILLATING_CODE, LogicCircuit, sweep_codes
+    from .logic import GATE_NAMES, OSCILLATING_CODE, LogicCircuit, relax_program
     circuit = LogicCircuit(m1=cfg.device, m2=cfg.device, r_common=cfg.r_common,
                            v_hold_level=cfg.v0)
     v1_axis = axis_points(cfg.v1_axis)
     v2_axis = axis_points(cfg.v2_axis)
-    codes = sweep_codes(circuit, cfg.v3, v1_axis, v2_axis)
-
-    code_m1 = codes[0].astype(np.intp)
-    ends = np.where(code_m1 == OSCILLATING_CODE, 256, code_m1 * 16 + codes[1])
+    m1, m2, cycled = relax_program(circuit, np.array(v1_axis)[:, None],
+                                   np.array(v2_axis)[None, :], cfg.v3)
+    # each cell's outcome: code_m1 * 16 + code_m2, or 256 where any input pair cycled
+    outcomes = np.where(cycled > 0, 256, m1.astype(np.uint16) * 16 + m2)
     heads, cols = (_byte_table(["%.9g," % v for v in a]) for a in (v1_axis, v2_axis))
-    # the row ending by code_m1 * 16 + code_m2, and 256 for an oscillating cell
     suffixes = _byte_table(
         ["%d,%s,%d,%s,0\n" % (c1, GATE_NAMES[c1], c2, GATE_NAMES[c2])
          for c1 in range(16) for c2 in range(16)]
@@ -158,31 +154,24 @@ def run_map_verb(cfg: RunConfig) -> None:
         fh.write("# grid = %dx%d\n" % (len(v1_axis), len(v2_axis)))
         fh.write("v1,v2,code_m1,label_m1,code_m2,label_m2,oscillated\n")
         for start in range(0, len(v1_axis), block):
-            rows = slice(start, start + block)
-            parts = heads[rows, None], cols, suffixes.take(ends[rows], axis=0)
-            cells = np.concatenate([np.broadcast_to(p, ends[rows].shape + p.shape[-1:])
+            ends = outcomes[start:start + block]
+            parts = heads[start:start + block, None], cols, suffixes.take(ends, axis=0)
+            cells = np.concatenate([np.broadcast_to(p, ends.shape + p.shape[-1:])
                                     for p in parts], axis=2)
             fh.write(cells.tobytes().translate(None, b"\0").decode("ascii"))
-    # the heatmap glyph by code byte
-    glyphs = np.frombuffer(
-        (_MAP_GLYPHS + "?" * (OSCILLATING_CODE - 16) + _OSC_GLYPH).encode(),
-        dtype=np.uint8)
-    sys.stdout.write(_heatmaps(codes, v1_axis, glyphs))
-
-
-def _heatmaps(codes, v1_axis, glyph_bytes) -> str:
-    blocks = []
-    for register, reg_codes in zip(("M1", "M2"), codes):
-        # rows run from the highest v2 down, columns over v1
-        glyphs = glyph_bytes[reg_codes.T[::-1]]
-        lines = np.column_stack(
-            [glyphs, np.full(len(glyphs), ord("\n"), dtype=np.uint8)])
-        blocks.append(
-            f"{register} register gate map "
-            f"(rows: v2 high->low, cols: v1 {v1_axis[0]:g}..{v1_axis[-1]:g}; "
-            f"glyph = hex gate code, {_OSC_GLYPH} = oscillating)\n"
-            + lines.tobytes().decode())
-    return "\n".join(blocks)
+    # heatmap rows run from the highest v2 down, columns over v1; a register's
+    # glyph by outcome is the hex digit of its code, or * where cycled, and
+    # outcome 257 ends a row
+    rows = np.pad(outcomes.T[::-1], ((0, 0), (0, 1)), constant_values=257)
+    maps = []
+    for register, digits in (("M1", "".join(g * 16 for g in _MAP_GLYPHS)),
+                             ("M2", _MAP_GLYPHS * 16)):
+        glyphs = np.frombuffer((digits + _OSC_GLYPH + "\n").encode(), dtype=np.uint8)
+        maps.append(f"{register} register gate map "
+                    f"(rows: v2 high->low, cols: v1 {v1_axis[0]:g}..{v1_axis[-1]:g}; "
+                    f"glyph = hex gate code, {_OSC_GLYPH} = oscillating)\n"
+                    + glyphs[rows].tobytes().decode())
+    sys.stdout.write("\n".join(maps))
 
 
 def build_parser() -> argparse.ArgumentParser:

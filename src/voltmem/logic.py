@@ -10,13 +10,14 @@ States are relaxed quasi-statically inside each phase: solve the one-node
 network, apply the zero-delay threshold rule to both devices simultaneously,
 repeat until a fixed point or a revisited state (cycle = would-be oscillation).
 
-relax_program is the one kernel that `gate` and `map` run, for every (v1, v2)
-point and input pair at once: init's 4-state transition table (_table) is
-walked from OFF, then all 256 possible tables from its four states, and their
-outcomes are packed once into three 0-15 codes per table (input pair (a, b) at
-bit 2a+b): M1's and M2's gate codes and the cycled pairs. Each point gathers
-them by its calc table. Both holds are the identity and are skipped, so a run
-makes 8 solve_node calls and reads no phase duration. The scalar chain
+relax_program is the kernel's one entry point: `gate` calls it at one
+(v1, v2) point and `map` over its whole grid, for every input pair at once.
+Init's 4-state transition table (_table) is walked from OFF, then all 256
+possible tables from its four states, and their outcomes are packed once
+into three 0-15 codes per table (input pair (a, b) at bit 2a+b): M1's and
+M2's gate codes and the cycled pairs. Each point gathers them by its calc
+table. Both holds are the identity and are skipped, so a run makes 8
+solve_node calls and reads no phase duration. The scalar chain
 _threshold_update -> relax_phase -> run_sequence -> run_gate is its oracle in
 the tests and in perfbench/, which wraps run_gate and solve_node.
 """
@@ -31,7 +32,7 @@ import numpy as np
 
 from .device import DeviceParams, condition_holds
 
-# reserved map code for cells whose relaxation cycles instead of settling
+# the code `map` prints in both registers of a cell where any pair cycles
 OSCILLATING_CODE = 255
 
 GATE_NAMES = (
@@ -244,17 +245,3 @@ def relax_program(c: LogicCircuit, v1, v2, v3: float
                   v3, False)
     return tuple(code[calc] for code in codes)
 
-
-def sweep_codes(c: LogicCircuit, v3: float, v1_axis, v2_axis
-                ) -> Tuple[np.ndarray, np.ndarray]:
-    """Gate codes of both registers for every (v1, v2) grid cell at once.
-
-    Returns two uint8 arrays of shape (len(v1_axis), len(v2_axis)), with
-    OSCILLATING_CODE in both wherever any input pair cycled in any phase.
-    """
-    v1_axis = np.asarray(v1_axis, dtype=float)
-    v2_axis = np.asarray(v2_axis, dtype=float)
-    if len(v1_axis) == 0 or len(v2_axis) == 0:
-        raise ValueError("sweep axes must be nonempty")
-    *codes, cycled = relax_program(c, v1_axis[:, None], v2_axis[None, :], v3)
-    return tuple(np.where(cycled > 0, np.uint8(OSCILLATING_CODE), m) for m in codes)

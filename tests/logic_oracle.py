@@ -2,7 +2,7 @@
 helpers the logic tests use.
 
 sweep_grid runs `logic.run_gate` once per (v1, v2) cell, so its maps come
-from the scalar chain, not from `logic.relax_program`/`logic.sweep_codes`.
+from the scalar chain, not from `logic.relax_program`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def sweep_grid(c: LogicCircuit, v3: float, v1_axis, v2_axis
 
 def grid_codes(grid: List[List[GateResult]]) -> Tuple[np.ndarray, np.ndarray]:
     """code_m1 and code_m2 arrays of sweep_grid's results, OSCILLATING_CODE
-    in both where a cell oscillated: what sweep_codes returns."""
+    in both where a cell oscillated, as `map` prints them."""
     return tuple(
         np.array([[OSCILLATING_CODE if res.oscillated else getattr(res, name)
                    for res in row] for row in grid], dtype=np.uint8)

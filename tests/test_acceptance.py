@@ -14,7 +14,7 @@ from voltmem.circuit import SeriesCircuit, SourceWaveform, run_transient
 from voltmem.cli import main
 from voltmem.device import EmulatorParams, derive_device_params, transition_frequency
 from voltmem.logic import (INPUT_PAIRS, OSCILLATING_CODE, LogicCircuit,
-                           _table, _walk, classify, gate_code, sweep_codes)
+                           _table, _walk, classify, gate_code, relax_program)
 from voltmem.oscillation import (detect_oscillation, instability_lhs,
                                  is_unstable, onset_voltage)
 
@@ -41,9 +41,12 @@ def axis_01():
 
 @pytest.fixture(scope="module")
 def codes_v3_19(logic_circuit, axis_01):
-    """code_m1 and code_m2 maps of the kernel that `map` runs, and its time."""
+    """code_m1 and code_m2 maps of the kernel that `map` runs, OSCILLATING_CODE
+    in both where any input pair cycled, and its time."""
     t0 = time.time()
-    codes = sweep_codes(logic_circuit, -1.9, axis_01, axis_01)
+    *codes, cycled = relax_program(logic_circuit, axis_01[:, None],
+                                   axis_01[None, :], -1.9)
+    codes = [np.where(cycled > 0, OSCILLATING_CODE, m) for m in codes]
     return codes, time.time() - t0
 
 
@@ -107,9 +110,10 @@ def test_criterion_4_gate_realization(logic_circuit, axis_01, codes_v3_19):
     n_imp1 = int((m2 == 11).sum())
     n_imp2 = int((m1 == 13).sum())
     t0 = time.time()
-    m1_12, _ = sweep_codes(logic_circuit, -1.2, axis_01, axis_01)
+    m1_12, _, cycled_12 = relax_program(logic_circuit, axis_01[:, None],
+                                        axis_01[None, :], -1.2)
     t_12 = time.time() - t0
-    n_not_imp1 = int((m1_12 == 4).sum())
+    n_not_imp1 = int(((m1_12 == 4) & (cycled_12 == 0)).sum())
     ok = (n_imp1 > 0 and n_imp2 > 0 and n_not_imp1 > 0
           and t_19 < 120.0 and t_12 < 120.0)
     report(4, ok, f"V3=-1.9: IMP_1 cells={n_imp1}, IMP_2 cells={n_imp2} "

@@ -198,6 +198,24 @@ class TestVerbs:
         assert len(out.read_text().splitlines()) > points
         assert peak < 32 * points
 
+    # iv writes each chunk as soon as it resolves it and carries only the
+    # state at the chunk's end, so its peak does not grow with its size
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_iv_peak_memory_does_not_grow_with_points(self, tmp_path, sigma):
+        def peak(points):
+            cfg = write_config(tmp_path, {"device": {"jitter_sigma": sigma},
+                                          "sweep": {"points": points}})
+            tracemalloc.start()
+            try:
+                assert main(["iv", "--config", cfg,
+                             "--out", str(tmp_path / "iv.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(3)  # builds the CSV formatter's tables, which are kept
+        assert peak(4 * 10**5) - peak(10**5) < 100_000
+
     # -4: the zero-volt rows print 0, never -0; 1e12: the largest amplitude
     # a config takes prints finite voltages and currents
     @pytest.mark.parametrize("amplitude", [-4.0, 1e12])

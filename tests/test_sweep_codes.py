@@ -13,9 +13,9 @@ from voltmem.config import axis_points, header_lines, load_config
 from voltmem.device import DeviceParams, EmulatorParams, derive_device_params
 from voltmem.logic import (INIT_HIGH, INIT_LOW, INPUT_PAIRS, LogicCircuit,
                            _table, _walk, canonical_program, relax_program,
-                           run_sequence, sweep_codes)
+                           run_sequence)
 
-from logic_oracle import grid_codes, sweep_grid
+from logic_oracle import sweep_grid
 
 
 def _log_uniform(lo, hi):
@@ -70,17 +70,6 @@ def circuits(draw):
                         v_hold_level=v0)
 
 
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(c=circuits(), v3=st.floats(-6.0, 6.0), v1_axis=axes(), v2_axis=axes())
-def test_kernel_matches_scalar_oracle(c, v3, v1_axis, v2_axis):
-    got = sweep_codes(c, v3, v1_axis, v2_axis)
-    want = grid_codes(sweep_grid(c, v3, v1_axis, v2_axis))
-    for g, w in zip(got, want):
-        assert g.dtype == np.uint8
-        np.testing.assert_array_equal(g, w)
-
-
 @settings(max_examples=200, deadline=None)
 @given(c=circuits())
 def test_hold_is_identity_and_init_never_cycles(c):
@@ -132,7 +121,7 @@ def test_walk_matches_reference_on_every_table_and_state():
 @st.composite
 def points(draw):
     """The (v1, v2) of one relax_program call: two scalars, as the gate verb
-    passes, or two axes that broadcast to a grid, as sweep_codes passes."""
+    passes, or two axes that broadcast to a grid, as the map verb passes."""
     if draw(st.booleans()):
         return draw(st.floats(-6.0, 6.0)), draw(st.floats(-6.0, 6.0))
     return (np.array(draw(axes()))[:, None], np.array(draw(axes()))[None, :])
@@ -174,16 +163,16 @@ MIXED = {"emulator": {"r_int": 220}, "circuit": {"r_common": 1000},
 GLYPHS = "0123456789ABCDEF"
 
 
-def test_sweep_codes_peak_memory_per_cell():
+def test_relax_program_peak_memory_per_cell():
     # the benchmark's map-mixed grid. The table kernel peaks near 52 bytes
     # per cell; float64 node voltages per cell and input pair take ~265
     d = derive_device_params(EmulatorParams(r_int=220))
     c = LogicCircuit(m1=d, m2=d, r_common=1000.0)
-    axis = axis_points((-1.0, 6.0, 0.02))
+    axis = np.array(axis_points((-1.0, 6.0, 0.02)))
     assert len(axis) == 351
     tracemalloc.start()
     try:
-        sweep_codes(c, -1.9, axis, axis)
+        relax_program(c, axis[:, None], axis[None, :], -1.9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
