@@ -1,10 +1,10 @@
 """Series resistor + volatile memristor circuit, solved quasi-statically.
 
 The electrical network is purely resistive; the only dynamics is the device
-actuation delay, stepped on a fixed time grid. Traces carry the applied
-voltage, the device voltage (= output voltage), the conduction state and the
-loop current at every sample. csv_rows, the CSV row writer of traces and of
-`iv`, formats in numpy and writes exactly Python's "%.9g" text.
+actuation delay, stepped on a fixed time grid. A Trace stores what each sample
+computes (applied and device voltage, conduction state, loop current); time,
+v_out and logic are derived per CSV chunk. csv_rows, the CSV row writer of
+traces and of `iv`, formats in numpy and writes exactly Python's "%.9g" text.
 """
 
 from __future__ import annotations
@@ -186,42 +186,36 @@ class SourceWaveform:
 
 
 @dataclass(frozen=True)
-class SeriesCircuit:
-    r1: float
-    device: DeviceParams
-    source: SourceWaveform
-
-    def __post_init__(self):
-        if self.r1 < 0:
-            raise ValueError("r1 must be >= 0")
-
-
-@dataclass(frozen=True)
 class Trace:
-    """Uniformly sampled transient record; the output node is the device."""
+    """Uniformly sampled transient record, sample k at time k * dt; the output
+    node is the device. It stores the computed columns; to_csv derives the rest."""
 
     dt: float
-    t: np.ndarray
     v_applied: np.ndarray
     v_device: np.ndarray
     conducting: np.ndarray
     current: np.ndarray
 
     def __len__(self):
-        return len(self.t)
+        return len(self.v_device)
 
-    def to_csv(self, fh, logic=None) -> None:
-        """Write the column names, then one row per sample; the `v_out`
-        column repeats `v_device`, and a `logic` column follows when given."""
+    def to_csv(self, fh, digitize=None) -> None:
+        """Write the column names, then one row per sample. Each chunk derives
+        `t` = k * dt, `v_out` = `v_device` and, given the comparator's
+        (threshold, high, low), `logic`: high where v_device > threshold."""
         names = "t,v_applied,v_device,v_out,conducting,current"
-        fh.write(names + ("" if logic is None else ",logic") + "\n")
+        fh.write(names + ("" if digitize is None else ",logic") + "\n")
         # in chunks, so that the text of only one chunk is held at a time
         for start in range(0, len(self), _CSV_CHUNK_ROWS):
             rows = slice(start, start + _CSV_CHUNK_ROWS)
             v_device = self.v_device[rows]
-            cols = [self.t[rows], self.v_applied[rows], v_device, v_device,
+            cols = [np.arange(start, start + len(v_device)) * self.dt,
+                    self.v_applied[rows], v_device, v_device,
                     self.conducting[rows], self.current[rows]]
-            fh.write(csv_rows(cols if logic is None else cols + [logic[rows]]))
+            if digitize is not None:
+                threshold, high, low = digitize
+                cols.append(np.where(v_device > threshold, high, low))
+            fh.write(csv_rows(cols))
 
 
 def solve_series_divider(r1: float, r_m: float, v):
@@ -245,8 +239,9 @@ def _first(mask, lo: int, hi: int, size: int = 64) -> int:
     return hi
 
 
-def run_transient(c: SeriesCircuit, dt: float, t_end: float, seed: int = 0) -> Trace:
-    """Fixed-timestep transient from the OFF state.
+def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
+                  dt: float, t_end: float, seed: int = 0) -> Trace:
+    """Fixed-timestep transient of `device` from OFF, behind `r1` across `source`.
 
     Each row records the divider solved with the resistance in effect at that
     instant. The trace equals, bit for bit, stepping `device.step_device` once
@@ -255,26 +250,27 @@ def run_transient(c: SeriesCircuit, dt: float, t_end: float, seed: int = 0) -> T
     then switches if the condition keeps holding for `hold` samples with that
     onset's jitter offsets, or else resumes one sample after the break.
     """
+    if r1 < 0:
+        raise ValueError("r1 must be >= 0")
     if not 0 < dt <= t_end:
         raise ValueError("need 0 < dt <= t_end")
-    if c.device.t_actuate > 0 and dt > c.device.t_actuate / 4.0:
+    if device.t_actuate > 0 and dt > device.t_actuate / 4.0:
         raise ResolutionError(
-            f"dt={dt} too coarse: must be <= t_actuate/4 = {c.device.t_actuate / 4.0}")
+            f"dt={dt} too coarse: must be <= t_actuate/4 = {device.t_actuate / 4.0}")
 
     n = int(round(t_end / dt)) + 1
-    t = np.arange(n) * dt
-    v_applied = c.source.value(t)
+    v_applied = source.value(np.arange(n) * dt)
     bad = ~np.isfinite(v_applied)
     if bad.any():
-        raise ValueError(f"non-finite source voltage at t={t[np.argmax(bad)]}")
+        raise ValueError(f"non-finite source voltage at t={np.argmax(bad) * dt}")
     v_device, current = np.empty(n), np.empty(n)
     conducting = np.empty(n, dtype=bool)
 
-    p, sigma = c.device, c.device.jitter_sigma
+    sigma = device.jitter_sigma
     # step_device restarts pending_elapsed from 0.0 at each onset and adds dt
     # per step until it reaches t_actuate; n + 1 steps fit in no run
     hold, elapsed = 1, 0.0 + dt
-    while not elapsed >= p.t_actuate and hold <= n:
+    while not elapsed >= device.t_actuate and hold <= n:
         hold, elapsed = hold + 1, elapsed + dt
     # step_device draws an offset pair (two rng.normal calls) per step with no switch
     # pending; batches give the same stream. Without jitter no generator is made,
@@ -292,10 +288,10 @@ def run_transient(c: SeriesCircuit, dt: float, t_end: float, seed: int = 0) -> T
         return drawn[a:b, 0], drawn[a:b, 1]
 
     def holds(a, b, d):  # rows a..b-1 at this state, rewritten if it ends first
-        v_m, i = solve_series_divider(c.r1, p.r_on if state else p.r_off,
+        v_m, i = solve_series_divider(r1, device.r_on if state else device.r_off,
                                       v_applied[a:b])
         v_device[a:b], current[a:b], conducting[a:b] = v_m, i, state
-        return condition_holds(p, state, v_m, d)
+        return condition_holds(device, state, v_m, d)
 
     state, pos = False, 0
     while pos < n:
@@ -314,10 +310,5 @@ def run_transient(c: SeriesCircuit, dt: float, t_end: float, seed: int = 0) -> T
     bad = ~np.isfinite(v_device)
     if bad.any():
         raise ValueError(f"non-finite device voltage: {v_device[np.argmax(bad)]}")
-    return Trace(dt=dt, t=t, v_applied=v_applied, v_device=v_device,
+    return Trace(dt=dt, v_applied=v_applied, v_device=v_device,
                  conducting=conducting, current=current)
-
-
-def digitize(tr: Trace, threshold: float, high: float, low: float) -> np.ndarray:
-    """Comparator output per sample: high iff v_device > threshold (strict)."""
-    return np.where(tr.v_device > threshold, high, low)

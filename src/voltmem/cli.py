@@ -23,8 +23,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import config as cfgmod
-from .circuit import (_CSV_CHUNK_ROWS, ResolutionError, SeriesCircuit,
-                      SourceWaveform, csv_rows, digitize, run_transient)
+from .circuit import (_CSV_CHUNK_ROWS, ResolutionError, SourceWaveform,
+                      csv_rows, run_transient)
 from .config import ConfigError, RunConfig, axis_points
 from .device import condition_holds, derive_device_params
 
@@ -81,11 +81,10 @@ def run_iv_sweep(cfg: RunConfig) -> None:
 
 
 def run_transient_verb(cfg: RunConfig) -> None:
-    circuit = SeriesCircuit(r1=cfg.r1, device=cfg.device, source=cfg.source)
-    trace = run_transient(circuit, cfg.dt, cfg.t_end, seed=cfg.seed)
-    logic = None if cfg.digitize is None else digitize(trace, *cfg.digitize)
+    trace = run_transient(cfg.r1, cfg.device, cfg.source, cfg.dt, cfg.t_end,
+                          seed=cfg.seed)
     with _output(cfg) as fh:
-        trace.to_csv(fh, logic)
+        trace.to_csv(fh, cfg.digitize)
 
 
 def run_osc_check(cfg: RunConfig) -> None:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from voltmem.circuit import SeriesCircuit, SourceWaveform, run_transient
+from voltmem.circuit import SourceWaveform, run_transient
 from voltmem.cli import main
 from voltmem.device import EmulatorParams, derive_device_params, transition_frequency
 from voltmem.logic import (INPUT_PAIRS, OSCILLATING_CODE, LogicCircuit,
@@ -75,9 +75,8 @@ def test_criterion_2_oscillation_onset():
     onset = onset_voltage(d, 680.0)
     lhs = instability_lhs(d, 680.0)
     unstable = is_unstable(d, 680.0)
-    c = SeriesCircuit(r1=680.0, device=d,
-                      source=SourceWaveform("constant", offset=5.0))
-    rep = detect_oscillation(run_transient(c, dt=1e-4, t_end=0.05))
+    rep = detect_oscillation(run_transient(
+        680.0, d, SourceWaveform("constant", offset=5.0), dt=1e-4, t_end=0.05))
     elapsed = time.time() - t0
     ok = (abs(onset - 4.693333) <= 0.001 and abs(lhs - 0.8984) < 1e-3
           and unstable and rep.oscillating and elapsed < 5.0)
@@ -95,9 +94,8 @@ def test_criterion_3_oracle_equivalence():
             if abs(lhs - d.v_hold_pos) / d.v_hold_pos < 0.05:
                 continue  # boundary band: delay/grid dependent
             v = onset_voltage(d, r1) + 0.2
-            c = SeriesCircuit(r1=float(r1), device=d,
-                              source=SourceWaveform("constant", offset=v))
-            rep = detect_oscillation(run_transient(c, dt=1e-4, t_end=0.02))
+            rep = detect_oscillation(run_transient(
+                float(r1), d, SourceWaveform("constant", offset=v), dt=1e-4, t_end=0.02))
             checked += 1
             agreed += int(rep.oscillating == is_unstable(d, r1))
     elapsed = time.time() - t0

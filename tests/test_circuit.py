@@ -4,15 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voltmem.circuit import (ResolutionError, SeriesCircuit, SourceWaveform,
-                             digitize, run_transient, solve_series_divider)
+from voltmem.circuit import (ResolutionError, SourceWaveform, run_transient,
+                             solve_series_divider)
 from voltmem.device import EmulatorParams, derive_device_params
 
 FIG2B_DEVICE = derive_device_params(EmulatorParams(r_int=220.0))  # r_on ~161
 
 
-def fig2b_circuit(source):
-    return SeriesCircuit(r1=680.0, device=FIG2B_DEVICE, source=source)
+def fig2b_transient(source, **grid):
+    return run_transient(680.0, FIG2B_DEVICE, source, **grid)
+
+
+def logic_column(tr, threshold, high=5.0, low=0.0):
+    """The `logic` column that to_csv writes with the comparator given."""
+    buf = io.StringIO()
+    tr.to_csv(buf, (threshold, high, low))
+    lines = buf.getvalue().splitlines()
+    assert lines[0].endswith(",current,logic")
+    return np.array([float(line.rsplit(",", 1)[1]) for line in lines[1:]])
 
 
 class TestDivider:
@@ -133,20 +142,20 @@ def test_waveform_array_matches_scalar_reference(case):
 
 class TestTransient:
     def test_below_threshold_stays_off(self):
-        tr = run_transient(fig2b_circuit(SourceWaveform("constant", offset=1.0)),
-                           dt=1e-4, t_end=0.02)
+        tr = fig2b_transient(SourceWaveform("constant", offset=1.0),
+                             dt=1e-4, t_end=0.02)
         assert not tr.conducting.any()
         assert tr.v_device[-1] == pytest.approx(1.0 * 600 / 1280, rel=1e-9)
 
     def test_constant_5v_oscillates(self):
-        tr = run_transient(fig2b_circuit(SourceWaveform("constant", offset=5.0)),
-                           dt=1e-4, t_end=0.05)
+        tr = fig2b_transient(SourceWaveform("constant", offset=5.0),
+                             dt=1e-4, t_end=0.05)
         switches = np.count_nonzero(tr.conducting[1:] != tr.conducting[:-1])
         assert switches >= 10
 
     def test_sawtooth_first_switch_near_onset(self):
         src = SourceWaveform("sawtooth", amplitude=8.0, period=0.05)
-        tr = run_transient(fig2b_circuit(src), dt=1e-4, t_end=0.05)
+        tr = fig2b_transient(src, dt=1e-4, t_end=0.05)
         first_on = np.argmax(tr.conducting)
         assert first_on > 0
         # device was held at threshold for t_actuate before the flip
@@ -155,69 +164,73 @@ class TestTransient:
 
     def test_kirchhoff_consistency(self):
         src = SourceWaveform("sawtooth", amplitude=8.0, period=0.05)
-        tr = run_transient(fig2b_circuit(src), dt=1e-4, t_end=0.05)
+        tr = fig2b_transient(src, dt=1e-4, t_end=0.05)
         np.testing.assert_allclose(tr.v_applied,
                                    tr.current * 680.0 + tr.v_device, rtol=1e-9)
 
     def test_divider_bounds(self):
         src = SourceWaveform("sawtooth", amplitude=8.0, period=0.05)
-        tr = run_transient(fig2b_circuit(src), dt=1e-4, t_end=0.05)
+        tr = fig2b_transient(src, dt=1e-4, t_end=0.05)
         mask = tr.v_applied > 0
         ratio = tr.v_device[mask] / tr.v_applied[mask]
         assert ((ratio >= 0) & (ratio <= 1)).all()
 
     def test_determinism_bit_identical(self):
         src = SourceWaveform("constant", offset=5.0)
-        a = run_transient(fig2b_circuit(src), dt=1e-4, t_end=0.02, seed=42)
-        b = run_transient(fig2b_circuit(src), dt=1e-4, t_end=0.02, seed=42)
+        a = fig2b_transient(src, dt=1e-4, t_end=0.02, seed=42)
+        b = fig2b_transient(src, dt=1e-4, t_end=0.02, seed=42)
         assert (a.v_device == b.v_device).all()
         assert (a.conducting == b.conducting).all()
 
     def test_resolution_guard(self):
         with pytest.raises(ResolutionError):
-            run_transient(fig2b_circuit(SourceWaveform("constant", offset=5.0)),
-                          dt=1e-3, t_end=0.02)  # t_actuate/4 = 0.125 ms
+            fig2b_transient(SourceWaveform("constant", offset=5.0),
+                            dt=1e-3, t_end=0.02)  # t_actuate/4 = 0.125 ms
 
     def test_grid_refinement_switch_time(self):
         src = SourceWaveform("constant", offset=5.0)
-        coarse = run_transient(fig2b_circuit(src), dt=1e-4, t_end=0.01)
-        fine = run_transient(fig2b_circuit(src), dt=0.5e-4, t_end=0.01)
-        t_coarse = coarse.t[np.argmax(coarse.conducting)]
-        t_fine = fine.t[np.argmax(fine.conducting)]
+        coarse = fig2b_transient(src, dt=1e-4, t_end=0.01)
+        fine = fig2b_transient(src, dt=0.5e-4, t_end=0.01)
+        t_coarse = np.argmax(coarse.conducting) * coarse.dt
+        t_fine = np.argmax(fine.conducting) * fine.dt
         assert abs(t_coarse - t_fine) <= 1e-4 + 1e-12
 
     def test_bad_grid_args(self):
-        c = fig2b_circuit(SourceWaveform("constant", offset=1.0))
+        src = SourceWaveform("constant", offset=1.0)
         with pytest.raises(ValueError):
-            run_transient(c, dt=0.0, t_end=1.0)
+            fig2b_transient(src, dt=0.0, t_end=1.0)
         with pytest.raises(ValueError):
-            run_transient(c, dt=1e-4, t_end=1e-5)
+            fig2b_transient(src, dt=1e-4, t_end=1e-5)
+        with pytest.raises(ValueError, match="r1"):
+            run_transient(-1.0, FIG2B_DEVICE, src, dt=1e-4, t_end=0.01)
 
 
 class TestDigitize:
     def test_constant_high(self):
-        tr = run_transient(fig2b_circuit(SourceWaveform("constant", offset=8.0)),
-                           dt=1e-4, t_end=0.01)
+        tr = fig2b_transient(SourceWaveform("constant", offset=8.0),
+                             dt=1e-4, t_end=0.01)
         # stays OFF only briefly; just check mapping against v_device directly
-        out = digitize(tr, threshold=2.5, high=5.0, low=0.0)
+        out = logic_column(tr, threshold=2.5)
+        assert (out == 5.0).any()
         np.testing.assert_array_equal(out, np.where(tr.v_device > 2.5, 5.0, 0.0))
 
     def test_boundary_equality_maps_low(self):
-        tr = run_transient(fig2b_circuit(SourceWaveform("constant", offset=1.0)),
-                           dt=1e-4, t_end=0.01)
-        out = digitize(tr, threshold=tr.v_device[0], high=5.0, low=0.0)
+        tr = fig2b_transient(SourceWaveform("constant", offset=1.0),
+                             dt=1e-4, t_end=0.01)
+        out = logic_column(tr, threshold=tr.v_device[0])
         assert (out == 0.0).all()
 
     def test_oscillating_trace_alternates(self):
-        tr = run_transient(fig2b_circuit(SourceWaveform("constant", offset=5.0)),
-                           dt=1e-4, t_end=0.05)
-        out = digitize(tr, threshold=2.0, high=5.0, low=0.0)
+        tr = fig2b_transient(SourceWaveform("constant", offset=5.0),
+                             dt=1e-4, t_end=0.05)
+        out = logic_column(tr, threshold=2.0)
         assert set(np.unique(out)) == {0.0, 5.0}
+        np.testing.assert_array_equal(out == 5.0, tr.v_device > 2.0)
 
 
 def test_csv_export_schema():
-    tr = run_transient(fig2b_circuit(SourceWaveform("constant", offset=1.0)),
-                       dt=1e-4, t_end=0.001)
+    tr = fig2b_transient(SourceWaveform("constant", offset=1.0),
+                         dt=1e-4, t_end=0.001)
     buf = io.StringIO()
     tr.to_csv(buf)
     lines = buf.getvalue().splitlines()

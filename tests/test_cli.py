@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from transient_oracle import run_transient_per_sample
 from voltmem import cli
-from voltmem.circuit import SeriesCircuit, SourceWaveform, digitize, run_transient
+from voltmem.circuit import SourceWaveform, run_transient
 from voltmem.cli import main
 from voltmem.config import (ConfigError, axis_points, header_lines, load_config,
                             serialize)
@@ -216,6 +216,27 @@ class TestVerbs:
         peak(3)  # builds the CSV formatter's tables, which are kept
         assert peak(4 * 10**5) - peak(10**5) < 100_000
 
+    # a transient stores 25 bytes per sample (v_applied, v_device and current
+    # as float64, conducting as bool); t and logic are formed per CSV chunk
+    @pytest.mark.parametrize("doc", [
+        {},
+        {"emulator": {"r_int": 220.0}, "device": {"jitter_sigma": 0.05},
+         "source": {"kind": "constant", "offset": 5.0}, "digitize": {}},
+    ], ids=["sawtooth", "jittered-constant-digitized"])
+    def test_transient_peak_memory_per_sample(self, tmp_path, doc):
+        def peak(t_end):
+            cfg = write_config(tmp_path, dict(doc, circuit={"dt": 1e-5, "t_end": t_end}))
+            tracemalloc.start()
+            try:
+                assert main(["transient", "--config", cfg,
+                             "--out", str(tmp_path / "t.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1e-4)  # builds the CSV formatter's tables, which are kept
+        assert peak(2.0) - peak(1.0) <= 28 * 10**5
+
     # -4: the zero-volt rows print 0, never -0; 1e12: the largest amplitude
     # a config takes prints finite voltages and currents
     @pytest.mark.parametrize("amplitude", [-4.0, 1e12])
@@ -247,9 +268,10 @@ class TestVerbs:
         doc["digitize"] = {"threshold": 2.0}
         dig = body("dig")
         cfg = load_config(json.dumps(dict(doc, verb="transient")))
-        trace = run_transient(SeriesCircuit(cfg.r1, cfg.device, cfg.source),
-                              cfg.dt, cfg.t_end, seed=cfg.seed)
-        logic = digitize(trace, *cfg.digitize)
+        trace = run_transient(cfg.r1, cfg.device, cfg.source, cfg.dt, cfg.t_end,
+                              seed=cfg.seed)
+        threshold, high, low = cfg.digitize
+        logic = np.where(trace.v_device > threshold, high, low)
         assert set(logic) == {0.0, 5.0}
         assert len(plain) == len(dig) == 1 + len(logic) == 5002
         assert dig[0] == plain[0] + ",logic"
@@ -518,12 +540,11 @@ def test_only_jittered_runs_load_numpy_random(tmp_path):
     # its rows are those of the per-sample oracle, which makes its generator
     # before the first step
     run = load_config(json.dumps(dict(doc, verb="transient")))
-    trace = run_transient_per_sample(
-        SeriesCircuit(r1=run.r1, device=run.device, source=run.source),
-        run.dt, run.t_end, run.seed)
+    trace = run_transient_per_sample(run.r1, run.device, run.source,
+                                     run.dt, run.t_end, run.seed)
     want = tmp_path / "want.csv"
     with open(want, "w") as fh:
-        trace.to_csv(fh, digitize(trace, *run.digitize))
+        trace.to_csv(fh, run.digitize)
     got = (tmp_path / "j.csv").read_text()
     assert "".join(l for l in got.splitlines(True) if l[0] != "#") == want.read_text()
     assert {l.split(",")[4] for l in want.read_text().splitlines()[1:]} == {"0", "1"}

@@ -155,13 +155,12 @@ class _Sink:
 def test_to_csv_peak_memory_is_bounded(rows):
     t = np.arange(rows) * 1e-5
     v = 8.0 * (t / 0.05 % 1.0)
-    trace = Trace(dt=1e-5, t=t, v_applied=v, v_device=0.4 * v,
+    trace = Trace(dt=1e-5, v_applied=v, v_device=0.4 * v,
                   conducting=v > 4.0, current=v / 1380.0)
-    logic = np.where(v > 2.0, 5.0, 0.0)
     sink = _Sink()
     tracemalloc.start()
     try:
-        trace.to_csv(sink, logic)
+        trace.to_csv(sink, (0.8, 5.0, 0.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from voltmem.circuit import SeriesCircuit, SourceWaveform, Trace, run_transient
+from voltmem.circuit import SourceWaveform, Trace, run_transient
 from voltmem.device import DeviceParams, EmulatorParams, derive_device_params
 from voltmem.oscillation import (detect_oscillation, instability_lhs,
                                  is_unstable, onset_voltage)
@@ -16,7 +16,7 @@ def device(r_on=160.97560975609755, r_off=600.0):
 def square_trace(period_samples, n, dt):
     conducting = (np.arange(n) // (period_samples // 2)) % 2 == 1
     zeros = np.zeros(n)
-    return Trace(dt=dt, t=np.arange(n) * dt, v_applied=zeros, v_device=zeros,
+    return Trace(dt=dt, v_applied=zeros, v_device=zeros,
                  conducting=conducting, current=zeros)
 
 
@@ -68,18 +68,16 @@ class TestDetect:
         assert rep.duty_cycle == pytest.approx(0.5, abs=0.01)
 
     def test_simulated_5v_oscillates(self):
-        c = SeriesCircuit(r1=680.0, device=device(),
-                          source=SourceWaveform("constant", offset=5.0))
-        rep = detect_oscillation(run_transient(c, dt=1e-4, t_end=0.05))
+        rep = detect_oscillation(run_transient(
+            680.0, device(), SourceWaveform("constant", offset=5.0), dt=1e-4, t_end=0.05))
         assert rep.oscillating
         # one switch per actuation delay: period 2 * 0.5 ms -> 1 kHz
         assert rep.frequency_estimate == pytest.approx(1000.0, rel=0.05)
 
     def test_single_switch_event_not_oscillation(self):
         d = device(r_on=318.75)
-        c = SeriesCircuit(r1=220.0, device=d,
-                          source=SourceWaveform("constant", offset=5.0))
-        rep = detect_oscillation(run_transient(c, dt=1e-4, t_end=0.05))
+        rep = detect_oscillation(run_transient(
+            220.0, d, SourceWaveform("constant", offset=5.0), dt=1e-4, t_end=0.05))
         assert not rep.oscillating
 
 
@@ -92,9 +90,8 @@ def test_oracle_equivalence_small_grid():
             if abs(instability_lhs(d, r1) - d.v_hold_pos) / d.v_hold_pos < 0.05:
                 continue
             v = onset_voltage(d, r1) + 0.2
-            c = SeriesCircuit(r1=float(r1), device=d,
-                              source=SourceWaveform("constant", offset=v))
-            rep = detect_oscillation(run_transient(c, dt=1e-4, t_end=0.02))
+            rep = detect_oscillation(run_transient(
+                float(r1), d, SourceWaveform("constant", offset=v), dt=1e-4, t_end=0.02))
             assert rep.oscillating == is_unstable(d, r1), (r_int, r1)
             checked += 1
     assert checked >= 20

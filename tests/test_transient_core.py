@@ -13,25 +13,26 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from transient_oracle import run_transient_per_sample
-from voltmem.circuit import SeriesCircuit, SourceWaveform, run_transient
+from voltmem.circuit import SourceWaveform, run_transient
 from voltmem.device import DeviceParams, EmulatorParams, derive_device_params
 from voltmem.oscillation import onset_voltage
 
-FIELDS = ("t", "v_applied", "v_device", "conducting", "current")
+FIELDS = ("v_applied", "v_device", "conducting", "current")
 T_ACTUATE = 0.5e-3  # the DeviceParams default
 MAX_ROWS = 2500
 
 
 def fig2b(source, r1=680.0, **device):
-    """The README's divider (r_int 220) with the given source and device fields."""
+    """(r1, device, source): the README's divider (r_int 220) with the given
+    source and device fields."""
     d = replace(derive_device_params(EmulatorParams(r_int=220.0)), **device)
-    return SeriesCircuit(r1=r1, device=d, source=source)
+    return r1, d, source
 
 
 def k_grid(k, **device):
     """dt = t_actuate/k on the oscillating divider at 5 V, 1501 rows."""
     dt = T_ACTUATE / k
-    return fig2b(SourceWaveform("constant", offset=5.0), **device), dt, 1500 * dt, 0
+    return *fig2b(SourceWaveform("constant", offset=5.0), **device), dt, 1500 * dt, 0
 
 
 @st.composite
@@ -51,7 +52,7 @@ def devices(draw):
 
 @st.composite
 def cases(draw):
-    """(circuit, dt, t_end, seed): any source kind, device and delay grid,
+    """(r1, device, source, dt, t_end, seed): any source kind, device and delay grid,
     jittered or not. A quarter are constant drives above onset, which
     oscillate wherever the divider is unstable; a quarter ripple around the
     onset level about as fast as t_actuate, so that pending switches break."""
@@ -87,13 +88,12 @@ def cases(draw):
             steps=tuple((time, draw(real)) for time in times))
     d = replace(d, t_actuate=t_actuate,
                 jitter_sigma=draw(st.sampled_from([0.0, 0.0, 0.05, 0.3])))
-    return (SeriesCircuit(r1=r1, device=d, source=source), dt, t_end,
-            draw(st.integers(0, 3)))
+    return r1, d, source, dt, t_end, draw(st.integers(0, 3))
 
 
-def outcome(run, c, dt, t_end, seed):
+def outcome(run, *case):
     try:
-        return run(c, dt, t_end, seed)
+        return run(*case)
     except ValueError as e:
         return type(e), str(e)
 
@@ -112,8 +112,8 @@ def outcome(run, c, dt, t_end, seed):
 @example(case=k_grid(114))
 @example(case=k_grid(50, jitter_sigma=0.05))
 # a slow drive at the onset level under strong jitter: windows that break
-@example(case=(fig2b(SourceWaveform("sine", amplitude=0.5, offset=4.69, period=3e-3),
-                     jitter_sigma=0.3), 2e-5, 0.03, 1))
+@example(case=(*fig2b(SourceWaveform("sine", amplitude=0.5, offset=4.69, period=3e-3),
+                      jitter_sigma=0.3), 2e-5, 0.03, 1))
 def test_event_core_matches_per_sample_oracle(case):
     want = outcome(run_transient_per_sample, *case)
     got = outcome(run_transient, *case)
@@ -130,11 +130,10 @@ def test_event_core_matches_per_sample_oracle(case):
 
 def test_hold_count_is_capped():
     """A delay far longer than the run neither switches nor counts to it."""
-    c = SeriesCircuit(r1=680.0,
-                      device=replace(derive_device_params(EmulatorParams()), t_actuate=1.0),
-                      source=SourceWaveform("constant", offset=8.0))
+    d = replace(derive_device_params(EmulatorParams()), t_actuate=1.0)
     t0 = time.perf_counter()
-    tr = run_transient(c, dt=1e-9, t_end=1e-4)
+    tr = run_transient(680.0, d, SourceWaveform("constant", offset=8.0),
+                       dt=1e-9, t_end=1e-4)
     assert time.perf_counter() - t0 < 2.0
     assert len(tr) == 100001
     assert not tr.conducting.any()
