@@ -3,8 +3,10 @@
 Every verb writes CSV (or plain text for gate/osc-check) to one output sink
 prefixed with a reproducibility header: the fully resolved configuration
 plus the seed as `#` comment lines. Identical config + seed gives
-byte-identical output. `iv` writes each chunk of its sweep as soon as it
-resolves it; the other verbs solve first, then write.
+byte-identical output. `iv` and `map` write each chunk as soon as they
+compute it (a `map` chunk is whole v1 rows, so where the v2 axis alone is
+longer than _CSV_CHUNK_ROWS, a chunk is one v1 row); the other verbs solve
+first, then write.
 
 A verb imports the modules it runs when it runs: `logic` for gate and map,
 `oscillation` for osc-check. The process entry is `run`; `main` is for
@@ -36,8 +38,8 @@ _OSC_GLYPH = "*"
 def _output(cfg: RunConfig):
     """The run's output sink, `--out` or stdout, with the `# ` resolved-config
     header written. A verb enters it only once nothing but a write can fail,
-    so that a failed run leaves no `--out` file: `iv` before its first chunk,
-    every other verb once its solver has returned."""
+    so that a failed run leaves no `--out` file: `iv` and `map` before their
+    first chunk, every other verb once its solver has returned."""
     header = "".join(f"# {line}\n" for line in cfgmod.header_lines(cfg))
     if cfg.out is None:
         sys.stdout.write(header)
@@ -112,10 +114,11 @@ def run_osc_check(cfg: RunConfig) -> None:
 
 
 def run_gate_verb(cfg: RunConfig) -> None:
-    from .logic import GATE_NAMES, INPUT_PAIRS, LogicCircuit, relax_program
+    from .logic import GATE_NAMES, INPUT_PAIRS, LogicCircuit, _table, relax_program
     circuit = LogicCircuit(m1=cfg.device, m2=cfg.device, r_common=cfg.r_common,
                            v_hold_level=cfg.v0)
-    m1, m2, cycled = relax_program(circuit, cfg.v1, cfg.v2, cfg.v3)
+    m1, m2, cycled = relax_program(circuit)[
+        :, _table(circuit, cfg.v1, cfg.v2, cfg.v3, False)]
     with _output(cfg) as fh:
         fh.write("a,b,m1,m2\n")
         # input pair k = 2a+b is bit k of the code
@@ -132,45 +135,51 @@ def _byte_table(texts) -> np.ndarray:
 
 
 def run_map_verb(cfg: RunConfig) -> None:
-    """The (V1, V2) gate-map sweep: CSV to the output sink, heatmaps to stdout."""
-    from .logic import GATE_NAMES, OSCILLATING_CODE, LogicCircuit, relax_program
+    """The (V1, V2) gate-map sweep: CSV to the output sink, heatmaps to stdout.
+    It runs in blocks of whole v1 rows, about _CSV_CHUNK_ROWS cells each:
+    a block's calc tables and CSV text live only while it is written, and
+    its outcomes go into the heatmaps' array, 2 bytes a cell."""
+    from .logic import GATE_NAMES, OSCILLATING_CODE, LogicCircuit, _table, relax_program
     circuit = LogicCircuit(m1=cfg.device, m2=cfg.device, r_common=cfg.r_common,
                            v_hold_level=cfg.v0)
     v1_axis = axis_points(cfg.v1_axis)
     v2_axis = axis_points(cfg.v2_axis)
-    m1, m2, cycled = relax_program(circuit, np.array(v1_axis)[:, None],
-                                   np.array(v2_axis)[None, :], cfg.v3)
-    # each cell's outcome: code_m1 * 16 + code_m2, or 256 where any input pair cycled
-    outcomes = np.where(cycled > 0, 256, m1.astype(np.uint16) * 16 + m2)
+    m1, m2, cycled = relax_program(circuit)
+    # each calc table's outcome: code_m1 * 16 + code_m2, or 256 where any
+    # input pair cycled
+    outcome = np.where(cycled > 0, 256, m1.astype(np.uint16) * 16 + m2)
     heads, cols = (_byte_table(["%.9g," % v for v in a]) for a in (v1_axis, v2_axis))
     suffixes = _byte_table(
         ["%d,%s,%d,%s,0\n" % (c1, GATE_NAMES[c1], c2, GATE_NAMES[c2])
          for c1 in range(16) for c2 in range(16)]
         + ["%d,OSC,%d,OSC,1\n" % (OSCILLATING_CODE, OSCILLATING_CODE)])
-    # about _CSV_CHUNK_ROWS cells at a time, in whole v1 rows
+    # heatmap rows run from the highest v2 down, columns over v1, and
+    # outcome 257 ends a row
+    rows = np.full((len(v2_axis), len(v1_axis) + 1), 257, dtype=np.uint16)
+    cell_outcomes = rows[::-1, :-1].T  # a view indexed [v1, v2]
+    v1s, v2s = np.array(v1_axis)[:, None], np.array(v2_axis)
     block = max(1, _CSV_CHUNK_ROWS // len(v2_axis))
     with _output(cfg) as fh:
         fh.write("# grid = %dx%d\n" % (len(v1_axis), len(v2_axis)))
         fh.write("v1,v2,code_m1,label_m1,code_m2,label_m2,oscillated\n")
         for start in range(0, len(v1_axis), block):
-            ends = outcomes[start:start + block]
+            ends = outcome[_table(circuit, v1s[start:start + block], v2s, cfg.v3, False)]
+            cell_outcomes[start:start + block] = ends
             parts = heads[start:start + block, None], cols, suffixes.take(ends, axis=0)
             cells = np.concatenate([np.broadcast_to(p, ends.shape + p.shape[-1:])
                                     for p in parts], axis=2)
             fh.write(cells.tobytes().translate(None, b"\0").decode("ascii"))
-    # heatmap rows run from the highest v2 down, columns over v1; a register's
-    # glyph by outcome is the hex digit of its code, or * where cycled, and
-    # outcome 257 ends a row
-    rows = np.pad(outcomes.T[::-1], ((0, 0), (0, 1)), constant_values=257)
-    maps = []
-    for register, digits in (("M1", "".join(g * 16 for g in _MAP_GLYPHS)),
-                             ("M2", _MAP_GLYPHS * 16)):
+    # a register's glyph by outcome is the hex digit of its code, or * where
+    # cycled; about _CSV_CHUNK_ROWS glyphs a write
+    lines = max(1, _CSV_CHUNK_ROWS // rows.shape[1])
+    for sep, register, digits in (("", "M1", "".join(g * 16 for g in _MAP_GLYPHS)),
+                                  ("\n", "M2", _MAP_GLYPHS * 16)):
         glyphs = np.frombuffer((digits + _OSC_GLYPH + "\n").encode(), dtype=np.uint8)
-        maps.append(f"{register} register gate map "
-                    f"(rows: v2 high->low, cols: v1 {v1_axis[0]:g}..{v1_axis[-1]:g}; "
-                    f"glyph = hex gate code, {_OSC_GLYPH} = oscillating)\n"
-                    + glyphs[rows].tobytes().decode())
-    sys.stdout.write("\n".join(maps))
+        sys.stdout.write(f"{sep}{register} register gate map "
+                         f"(rows: v2 high->low, cols: v1 {v1_axis[0]:g}..{v1_axis[-1]:g}; "
+                         f"glyph = hex gate code, {_OSC_GLYPH} = oscillating)\n")
+        for start in range(0, len(rows), lines):
+            sys.stdout.write(glyphs[rows[start:start + lines]].tobytes().decode())
 
 
 def build_parser() -> argparse.ArgumentParser:

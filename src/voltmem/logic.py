@@ -10,14 +10,14 @@ States are relaxed quasi-statically inside each phase: solve the one-node
 network, apply the zero-delay threshold rule to both devices simultaneously,
 repeat until a fixed point or a revisited state (cycle = would-be oscillation).
 
-relax_program is the kernel's one entry point: `gate` calls it at one
-(v1, v2) point and `map` over its whole grid, for every input pair at once.
-Init's 4-state transition table (_table) is walked from OFF, then all 256
-possible tables from its four states, and their outcomes are packed once
-into three 0-15 codes per table (input pair (a, b) at bit 2a+b): M1's and
-M2's gate codes and the cycled pairs. Each point gathers them by its calc
-table. Both holds are the identity and are skipped, so a run makes 8
-solve_node calls and reads no phase duration. The scalar chain
+The kernel runs in two steps. relax_program walks init's 4-state
+transition table (_table) from OFF, then all 256 possible tables from its
+four states, and packs their outcomes into three 0-15 codes per table (input
+pair (a, b) at bit 2a+b): M1's and M2's gate codes and the cycled pairs. It
+runs once per circuit, with 4 solve_node calls. Then each block of points
+builds its calc table with 4 more and gathers the codes by it: `gate` at its
+one (v1, v2) point, `map` per block of whole v1 rows. Both holds are the
+identity and are skipped, and no phase duration is read. The scalar chain
 _threshold_update -> relax_phase -> run_sequence -> run_gate is its oracle in
 the tests and in perfbench/, which wraps run_gate and solve_node.
 """
@@ -225,11 +225,12 @@ def _walk(table, state):
     return state, table >> (state << 1) & 3 != state
 
 
-def relax_program(c: LogicCircuit, v1, v2, v3: float
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gate codes m1, m2 and the cycled mask of the canonical program at every
-    (v1, v2): uint8 arrays of shape broadcast(v1, v2) whose bit k holds
-    run_sequence's s1, s2 and oscillated for input pair k = 2a+b.
+def relax_program(c: LogicCircuit) -> np.ndarray:
+    """The canonical program's outcome under each of the 256 possible calc
+    tables: a (3, 256) uint8 array of M1's and M2's gate codes and the cycled
+    mask, whose bit k holds run_sequence's s1, s2 and oscillated for input
+    pair k = 2a+b. Points gather their codes by their calc table,
+    relax_program(c)[:, _table(c, v1, v2, v3, False)].
     LogicCircuit keeps v_hold_pos < v0 < v_th_pos, so no switching condition
     holds in either hold phase and both are skipped. The init walk, from
     OFF under the closed switch, never cycles (tests assert it), so the
@@ -239,9 +240,5 @@ def relax_program(c: LogicCircuit, v1, v2, v3: float
                             np.where(b, INIT_HIGH, INIT_LOW), 0.0, True),
                      np.zeros(4, dtype=np.uint8))
     final, cycled = _walk(np.arange(256, dtype=np.uint8)[:, None], state)
-    codes = np.packbits([final >= 2, final & 1, cycled], axis=-1,
-                        bitorder="little")[..., 0]
-    calc = _table(c, np.asarray(v1, dtype=float), np.asarray(v2, dtype=float),
-                  v3, False)
-    return tuple(code[calc] for code in codes)
-
+    return np.packbits([final >= 2, final & 1, cycled], axis=-1,
+                       bitorder="little")[..., 0]

@@ -44,8 +44,8 @@ def codes_v3_19(logic_circuit, axis_01):
     """code_m1 and code_m2 maps of the kernel that `map` runs, OSCILLATING_CODE
     in both where any input pair cycled, and its time."""
     t0 = time.time()
-    *codes, cycled = relax_program(logic_circuit, axis_01[:, None],
-                                   axis_01[None, :], -1.9)
+    *codes, cycled = relax_program(logic_circuit)[:, _table(
+        logic_circuit, axis_01[:, None], axis_01[None, :], -1.9, False)]
     codes = [np.where(cycled > 0, OSCILLATING_CODE, m) for m in codes]
     return codes, time.time() - t0
 
@@ -108,8 +108,8 @@ def test_criterion_4_gate_realization(logic_circuit, axis_01, codes_v3_19):
     n_imp1 = int((m2 == 11).sum())
     n_imp2 = int((m1 == 13).sum())
     t0 = time.time()
-    m1_12, _, cycled_12 = relax_program(logic_circuit, axis_01[:, None],
-                                        axis_01[None, :], -1.2)
+    m1_12, _, cycled_12 = relax_program(logic_circuit)[:, _table(
+        logic_circuit, axis_01[:, None], axis_01[None, :], -1.2, False)]
     t_12 = time.time() - t0
     n_not_imp1 = int(((m1_12 == 4) & (cycled_12 == 0)).sum())
     ok = (n_imp1 > 0 and n_imp2 > 0 and n_not_imp1 > 0

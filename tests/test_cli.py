@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import json
 import math
@@ -236,6 +237,27 @@ class TestVerbs:
 
         peak(1e-4)  # builds the CSV formatter's tables, which are kept
         assert peak(2.0) - peak(1.0) <= 28 * 10**5
+
+    # map runs block by block and keeps only each cell's uint16 outcome for
+    # the heatmaps; the whole-grid kernel grew ~51 bytes per cell. The
+    # heatmaps go to a file, so that no captured text is counted
+    def test_map_peak_memory_per_cell(self, tmp_path):
+        def peak(step):
+            cfg = write_config(tmp_path, {
+                "emulator": {"r_int": 220}, "circuit": {"r_common": 1000},
+                "sweep": {"v1": [-1, 6, step], "v2": [-1, 6, step], "v3": -1.9}})
+            with open(tmp_path / "heatmap.txt", "w") as heatmaps, \
+                    contextlib.redirect_stdout(heatmaps):
+                tracemalloc.start()
+                try:
+                    assert main(["map", "--config", cfg,
+                                 "--out", str(tmp_path / "map.csv")]) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(1.0)
+        assert peak(0.01) - peak(0.02) < 4 * (701**2 - 351**2)
 
     # -4: the zero-volt rows print 0, never -0; 1e12: the largest amplitude
     # a config takes prints finite voltages and currents

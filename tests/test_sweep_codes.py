@@ -6,8 +6,10 @@ import json
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import voltmem.cli
 from voltmem.cli import main
 from voltmem.config import axis_points, header_lines, load_config
 from voltmem.device import DeviceParams, EmulatorParams, derive_device_params
@@ -120,8 +122,8 @@ def test_walk_matches_reference_on_every_table_and_state():
 
 @st.composite
 def points(draw):
-    """The (v1, v2) of one relax_program call: two scalars, as the gate verb
-    passes, or two axes that broadcast to a grid, as the map verb passes."""
+    """The (v1, v2) of one calc table: two scalars, as the gate verb passes,
+    or two axes that broadcast to a grid, as the map verb passes per block."""
     if draw(st.booleans()):
         return draw(st.floats(-6.0, 6.0)), draw(st.floats(-6.0, 6.0))
     return (np.array(draw(axes()))[:, None], np.array(draw(axes()))[None, :])
@@ -143,7 +145,7 @@ def test_kernel_states_match_scalar_oracle(c, v3, v1_v2):
     code holds input pair k = 2a+b."""
     v1, v2 = v1_v2
     shape = np.broadcast_shapes(np.shape(v1), np.shape(v2))
-    got = relax_program(c, v1, v2, v3)
+    got = relax_program(c)[:, _table(c, v1, v2, v3, False)]
     for arr in got:
         assert arr.dtype == np.uint8 and arr.shape == shape and np.all(arr < 16)
     v1, v2 = np.broadcast_to(v1, shape), np.broadcast_to(v2, shape)
@@ -164,15 +166,16 @@ GLYPHS = "0123456789ABCDEF"
 
 
 def test_relax_program_peak_memory_per_cell():
-    # the benchmark's map-mixed grid. The table kernel peaks near 52 bytes
-    # per cell; float64 node voltages per cell and input pair take ~265
+    # the benchmark's map-mixed grid in one calc table. The table kernel
+    # peaks near 52 bytes per cell; float64 node voltages per cell and input
+    # pair take ~265. `map` builds the table a block at a time
     d = derive_device_params(EmulatorParams(r_int=220))
     c = LogicCircuit(m1=d, m2=d, r_common=1000.0)
     axis = np.array(axis_points((-1.0, 6.0, 0.02)))
     assert len(axis) == 351
     tracemalloc.start()
     try:
-        relax_program(c, axis[:, None], axis[None, :], -1.9)
+        relax_program(c)[:, _table(c, axis[:, None], axis[None, :], -1.9, False)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -219,3 +222,14 @@ def test_map_verb_bytes_match_oracle_text(tmp_path, capsys):
     assert main(["map", "--config", str(config), "--out", str(out)]) == 0
     assert out.read_bytes() == csv.encode()
     assert capsys.readouterr().out == "\n".join(heat)
+
+
+# map runs in blocks of whole v1 rows, about _CSV_CHUNK_ROWS cells each, and
+# writes its heatmaps in blocks of rows of the same size. The 29x29 grid is
+# one block by default; 64 gives two rows per block and a ragged last block,
+# and 16 one row per block
+@pytest.mark.parametrize("chunk", [64, 16])
+def test_map_verb_bytes_match_oracle_text_in_blocks(tmp_path, capsys,
+                                                    monkeypatch, chunk):
+    monkeypatch.setattr(voltmem.cli, "_CSV_CHUNK_ROWS", chunk)
+    test_map_verb_bytes_match_oracle_text(tmp_path, capsys)
