@@ -1,9 +1,9 @@
 """Series resistor + volatile memristor circuit, solved quasi-statically.
 
 The electrical network is purely resistive; the only dynamics is the device
-actuation delay, stepped on a fixed time grid. A Trace stores what each sample
-computes (applied and device voltage, conduction state, loop current); time,
-v_out and logic are derived per CSV chunk. csv_rows, the CSV row writer of
+actuation delay, stepped on a fixed time grid. A Trace stores what the run
+decides (source sample, conduction state); time, device voltage and current,
+v_out and logic are formed per CSV chunk. csv_rows, the CSV row writer of
 traces and of `iv`, formats in numpy and writes exactly Python's "%.9g" text.
 """
 
@@ -18,6 +18,10 @@ from .device import DeviceParams, condition_holds
 
 
 _CSV_CHUNK_ROWS = 4096
+# run_transient's source blocks: 2 MB temporaries, whose release lifts glibc's
+# dynamic mmap and trim thresholds above a CSV chunk's buffers, so that every
+# chunk reuses the heap instead of faulting in memory returned to the system
+_SOURCE_BLOCK_ROWS = 1 << 18
 
 
 @functools.cache
@@ -187,31 +191,35 @@ class SourceWaveform:
 
 @dataclass(frozen=True)
 class Trace:
-    """Uniformly sampled transient record, sample k at time k * dt; the output
-    node is the device. It stores the computed columns; to_csv derives the rest."""
+    """Uniformly sampled transient record, sample k at time k * dt: the
+    applied voltage and the conduction state in effect. to_csv solves the rest."""
 
     dt: float
     v_applied: np.ndarray
-    v_device: np.ndarray
     conducting: np.ndarray
-    current: np.ndarray
 
     def __len__(self):
-        return len(self.v_device)
+        return len(self.v_applied)
 
-    def to_csv(self, fh, digitize=None) -> None:
-        """Write the column names, then one row per sample. Each chunk derives
-        `t` = k * dt, `v_out` = `v_device` and, given the comparator's
+    def to_csv(self, fh, r1: float, device: DeviceParams, digitize=None) -> None:
+        """Write the column names, then one row per sample of the divider of `r1`
+        and `device`. Each chunk forms `t` = k * dt, the device voltage (=
+        `v_out`) and current in each row's state and, given the comparator's
         (threshold, high, low), `logic`: high where v_device > threshold."""
         names = "t,v_applied,v_device,v_out,conducting,current"
         fh.write(names + ("" if digitize is None else ",logic") + "\n")
         # in chunks, so that the text of only one chunk is held at a time
         for start in range(0, len(self), _CSV_CHUNK_ROWS):
             rows = slice(start, start + _CSV_CHUNK_ROWS)
-            v_device = self.v_device[rows]
-            cols = [np.arange(start, start + len(v_device)) * self.dt,
-                    self.v_applied[rows], v_device, v_device,
-                    self.conducting[rows], self.current[rows]]
+            v, on = self.v_applied[rows], self.conducting[rows]
+            (v_on, i_on), (v_off, i_off) = (solve_series_divider(r1, r_m, v)
+                                            for r_m in (device.r_on, device.r_off))
+            v_device, current = np.where(on, v_on, v_off), np.where(on, i_on, i_off)
+            bad = ~np.isfinite(v_device)
+            if bad.any():
+                raise ValueError(f"non-finite device voltage: {v_device[np.argmax(bad)]}")
+            cols = [np.arange(start, start + len(v)) * self.dt,
+                    v, v_device, v_device, on, current]
             if digitize is not None:
                 threshold, high, low = digitize
                 cols.append(np.where(v_device > threshold, high, low))
@@ -243,7 +251,7 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
                   dt: float, t_end: float, seed: int = 0) -> Trace:
     """Fixed-timestep transient of `device` from OFF, behind `r1` across `source`.
 
-    Each row records the divider solved with the resistance in effect at that
+    Each row records the source sample and the state in effect at that
     instant. The trace equals, bit for bit, stepping `device.step_device` once
     per sample from OFF, as tests/transient_oracle.py does. The loop runs once
     per switching onset: it finds the first sample where the condition holds,
@@ -259,12 +267,14 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
             f"dt={dt} too coarse: must be <= t_actuate/4 = {device.t_actuate / 4.0}")
 
     n = int(round(t_end / dt)) + 1
-    v_applied = source.value(np.arange(n) * dt)
-    bad = ~np.isfinite(v_applied)
-    if bad.any():
-        raise ValueError(f"non-finite source voltage at t={np.argmax(bad) * dt}")
-    v_device, current = np.empty(n), np.empty(n)
-    conducting = np.empty(n, dtype=bool)
+    v_applied, conducting = np.empty(n), np.empty(n, dtype=bool)
+    # sampled in blocks, the same doubles as source.value(np.arange(n) * dt)
+    for a in range(0, n, _SOURCE_BLOCK_ROWS):
+        block = v_applied[a:a + _SOURCE_BLOCK_ROWS]
+        block[:] = source.value(np.arange(a, a + len(block)) * dt)
+        bad = ~np.isfinite(block)
+        if bad.any():
+            raise ValueError(f"non-finite source voltage at t={(a + np.argmax(bad)) * dt}")
 
     sigma = device.jitter_sigma
     # step_device restarts pending_elapsed from 0.0 at each onset and adds dt
@@ -288,9 +298,9 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
         return drawn[a:b, 0], drawn[a:b, 1]
 
     def holds(a, b, d):  # rows a..b-1 at this state, rewritten if it ends first
-        v_m, i = solve_series_divider(r1, device.r_on if state else device.r_off,
+        v_m, _ = solve_series_divider(r1, device.r_on if state else device.r_off,
                                       v_applied[a:b])
-        v_device[a:b], current[a:b], conducting[a:b] = v_m, i, state
+        conducting[a:b] = state
         return condition_holds(device, state, v_m, d)
 
     state, pos = False, 0
@@ -307,8 +317,4 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
         else:  # the switch; past the last row it changes nothing
             state, pos = not state, end
 
-    bad = ~np.isfinite(v_device)
-    if bad.any():
-        raise ValueError(f"non-finite device voltage: {v_device[np.argmax(bad)]}")
-    return Trace(dt=dt, v_applied=v_applied, v_device=v_device,
-                 conducting=conducting, current=current)
+    return Trace(dt=dt, v_applied=v_applied, conducting=conducting)

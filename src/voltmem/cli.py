@@ -4,9 +4,9 @@ Every verb writes CSV (or plain text for gate/osc-check) to one output sink
 prefixed with a reproducibility header: the fully resolved configuration
 plus the seed as `#` comment lines. Identical config + seed gives
 byte-identical output. `iv` and `map` write each chunk as soon as they
-compute it (a `map` chunk is whole v1 rows, so where the v2 axis alone is
-longer than _CSV_CHUNK_ROWS, a chunk is one v1 row); the other verbs solve
-first, then write.
+compute it (a `map` chunk is whole v1 rows, or where the v2 axis alone is
+longer than _CSV_CHUNK_ROWS, a run of at most that many of one row's v2
+values); the other verbs solve first, then write.
 
 A verb imports the modules it runs when it runs: `logic` for gate and map,
 `oscillation` for osc-check. The process entry is `run`; `main` is for
@@ -21,6 +21,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 
@@ -86,7 +87,7 @@ def run_transient_verb(cfg: RunConfig) -> None:
     trace = run_transient(cfg.r1, cfg.device, cfg.source, cfg.dt, cfg.t_end,
                           seed=cfg.seed)
     with _output(cfg) as fh:
-        trace.to_csv(fh, cfg.digitize)
+        trace.to_csv(fh, cfg.r1, cfg.device, cfg.digitize)
 
 
 def run_osc_check(cfg: RunConfig) -> None:
@@ -134,11 +135,24 @@ def _byte_table(texts) -> np.ndarray:
     return np.array([t.encode() for t in texts]).view(np.uint8).reshape(len(texts), -1)
 
 
+def _axis_table(axis: np.ndarray) -> np.ndarray:
+    """_byte_table of each axis value's "%.9g,", formed _CSV_CHUNK_ROWS values
+    at a time. 16 bytes hold any of them: a config's axis value is 0 or of
+    magnitude 1e-28 to 1e13, so its exponent has two digits."""
+    table, width = np.zeros((len(axis), 16), dtype=np.uint8), 1
+    for start in range(0, len(axis), _CSV_CHUNK_ROWS):
+        rows = _byte_table(["%.9g," % v for v in axis[start:start + _CSV_CHUNK_ROWS].tolist()])
+        table[start:start + len(rows), :rows.shape[1]] = rows
+        width = max(width, rows.shape[1])
+    return table[:, :width]
+
+
 def run_map_verb(cfg: RunConfig) -> None:
     """The (V1, V2) gate-map sweep: CSV to the output sink, heatmaps to stdout.
-    It runs in blocks of whole v1 rows, about _CSV_CHUNK_ROWS cells each:
-    a block's calc tables and CSV text live only while it is written, and
-    its outcomes go into the heatmaps' array, 2 bytes a cell."""
+    It runs in blocks of whole v1 rows, about _CSV_CHUNK_ROWS cells each, or
+    of runs of one row's v2 values where that axis alone is longer: a block's
+    calc tables and CSV text live only while it is written, and its outcomes
+    go into the heatmaps' array, 2 bytes a cell."""
     from .logic import GATE_NAMES, OSCILLATING_CODE, LogicCircuit, _table, relax_program
     circuit = LogicCircuit(m1=cfg.device, m2=cfg.device, r_common=cfg.r_common,
                            v_hold_level=cfg.v0)
@@ -148,7 +162,7 @@ def run_map_verb(cfg: RunConfig) -> None:
     # each calc table's outcome: code_m1 * 16 + code_m2, or 256 where any
     # input pair cycled
     outcome = np.where(cycled > 0, 256, m1.astype(np.uint16) * 16 + m2)
-    heads, cols = (_byte_table(["%.9g," % v for v in a]) for a in (v1_axis, v2_axis))
+    heads, cols = _axis_table(v1_axis), _axis_table(v2_axis)
     suffixes = _byte_table(
         ["%d,%s,%d,%s,0\n" % (c1, GATE_NAMES[c1], c2, GATE_NAMES[c2])
          for c1 in range(16) for c2 in range(16)]
@@ -157,15 +171,16 @@ def run_map_verb(cfg: RunConfig) -> None:
     # outcome 257 ends a row
     rows = np.full((len(v2_axis), len(v1_axis) + 1), 257, dtype=np.uint16)
     cell_outcomes = rows[::-1, :-1].T  # a view indexed [v1, v2]
-    v1s, v2s = np.array(v1_axis)[:, None], np.array(v2_axis)
-    block = max(1, _CSV_CHUNK_ROWS // len(v2_axis))
+    block = max(1, _CSV_CHUNK_ROWS // len(v2_axis))  # v1 rows
+    run = min(len(v2_axis), _CSV_CHUNK_ROWS)  # v2 values
     with _output(cfg) as fh:
         fh.write("# grid = %dx%d\n" % (len(v1_axis), len(v2_axis)))
         fh.write("v1,v2,code_m1,label_m1,code_m2,label_m2,oscillated\n")
-        for start in range(0, len(v1_axis), block):
-            ends = outcome[_table(circuit, v1s[start:start + block], v2s, cfg.v3, False)]
-            cell_outcomes[start:start + block] = ends
-            parts = heads[start:start + block, None], cols, suffixes.take(ends, axis=0)
+        for i, j in product(range(0, len(v1_axis), block), range(0, len(v2_axis), run)):
+            at = slice(i, i + block), slice(j, j + run)
+            ends = outcome[_table(circuit, v1_axis[at[0], None], v2_axis[at[1]], cfg.v3, False)]
+            cell_outcomes[at] = ends
+            parts = heads[at[0], None], cols[at[1]], suffixes.take(ends, axis=0)
             cells = np.concatenate([np.broadcast_to(p, ends.shape + p.shape[-1:])
                                     for p in parts], axis=2)
             fh.write(cells.tobytes().translate(None, b"\0").decode("ascii"))

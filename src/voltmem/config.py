@@ -16,6 +16,8 @@ import sys
 from dataclasses import asdict, astuple, fields, make_dataclass, replace
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .device import EmulatorParams, derive_device_params
 from .circuit import SourceWaveform
 
@@ -192,10 +194,11 @@ def axis_size(spec: tuple[float, float, float]) -> int:
     return int(round((hi - lo) / step)) + 1
 
 
-def axis_points(spec: tuple[float, float, float]):
-    """Realize a (min, max, step) axis spec as a list of grid values."""
+def axis_points(spec: tuple[float, float, float]) -> np.ndarray:
+    """Realize a (min, max, step) axis spec as its float64 grid values, each
+    lo + step * k."""
     lo, _, step = spec
-    return [lo + step * k for k in range(axis_size(spec))]
+    return lo + step * np.arange(axis_size(spec))
 
 
 def _parse(document: str) -> dict:

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from transient_oracle import run_transient_per_sample
 from voltmem import cli
-from voltmem.circuit import SourceWaveform, run_transient
+from voltmem.circuit import SourceWaveform
 from voltmem.cli import main
 from voltmem.config import (ConfigError, axis_points, header_lines, load_config,
                             serialize)
@@ -217,8 +217,11 @@ class TestVerbs:
         peak(3)  # builds the CSV formatter's tables, which are kept
         assert peak(4 * 10**5) - peak(10**5) < 100_000
 
-    # a transient stores 25 bytes per sample (v_applied, v_device and current
-    # as float64, conducting as bool); t and logic are formed per CSV chunk
+    # a transient stores 9 bytes per sample (v_applied as float64, conducting
+    # as bool) and samples its source in blocks of 2**18; t, the divider's
+    # device voltage and current, and logic are formed per CSV chunk. Both
+    # runs are longer than a source block, so the blocks' temporaries are
+    # the same in both
     @pytest.mark.parametrize("doc", [
         {},
         {"emulator": {"r_int": 220.0}, "device": {"jitter_sigma": 0.05},
@@ -236,7 +239,7 @@ class TestVerbs:
                 tracemalloc.stop()
 
         peak(1e-4)  # builds the CSV formatter's tables, which are kept
-        assert peak(2.0) - peak(1.0) <= 28 * 10**5
+        assert peak(6.0) - peak(3.0) <= 12 * 3 * 10**5
 
     # map runs block by block and keeps only each cell's uint16 outcome for
     # the heatmaps; the whole-grid kernel grew ~51 bytes per cell. The
@@ -290,8 +293,8 @@ class TestVerbs:
         doc["digitize"] = {"threshold": 2.0}
         dig = body("dig")
         cfg = load_config(json.dumps(dict(doc, verb="transient")))
-        trace = run_transient(cfg.r1, cfg.device, cfg.source, cfg.dt, cfg.t_end,
-                              seed=cfg.seed)
+        trace = run_transient_per_sample(cfg.r1, cfg.device, cfg.source, cfg.dt,
+                                         cfg.t_end, seed=cfg.seed)
         threshold, high, low = cfg.digitize
         logic = np.where(trace.v_device > threshold, high, low)
         assert set(logic) == {0.0, 5.0}
@@ -565,8 +568,7 @@ def test_only_jittered_runs_load_numpy_random(tmp_path):
     trace = run_transient_per_sample(run.r1, run.device, run.source,
                                      run.dt, run.t_end, run.seed)
     want = tmp_path / "want.csv"
-    with open(want, "w") as fh:
-        trace.to_csv(fh, run.digitize)
+    want.write_text(trace.csv(run.digitize))
     got = (tmp_path / "j.csv").read_text()
     assert "".join(l for l in got.splitlines(True) if l[0] != "#") == want.read_text()
     assert {l.split(",")[4] for l in want.read_text().splitlines()[1:]} == {"0", "1"}

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voltmem.circuit import _CSV_CHUNK_ROWS, Trace, csv_rows
+from voltmem.device import EmulatorParams, derive_device_params
 
+DEVICE = derive_device_params(EmulatorParams())
 RNG = np.random.default_rng(20261018)
 
 
@@ -155,12 +157,11 @@ class _Sink:
 def test_to_csv_peak_memory_is_bounded(rows):
     t = np.arange(rows) * 1e-5
     v = 8.0 * (t / 0.05 % 1.0)
-    trace = Trace(dt=1e-5, v_applied=v, v_device=0.4 * v,
-                  conducting=v > 4.0, current=v / 1380.0)
+    trace = Trace(dt=1e-5, v_applied=v, conducting=v > 4.0)
     sink = _Sink()
     tracemalloc.start()
     try:
-        trace.to_csv(sink, (0.8, 5.0, 0.0))
+        trace.to_csv(sink, 680.0, DEVICE, (0.8, 5.0, 0.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

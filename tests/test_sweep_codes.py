@@ -224,11 +224,12 @@ def test_map_verb_bytes_match_oracle_text(tmp_path, capsys):
     assert capsys.readouterr().out == "\n".join(heat)
 
 
-# map runs in blocks of whole v1 rows, about _CSV_CHUNK_ROWS cells each, and
-# writes its heatmaps in blocks of rows of the same size. The 29x29 grid is
-# one block by default; 64 gives two rows per block and a ragged last block,
-# and 16 one row per block
-@pytest.mark.parametrize("chunk", [64, 16])
+# map runs in blocks of whole v1 rows, about _CSV_CHUNK_ROWS cells each, or
+# of runs of one row's v2 values where that axis is longer, and writes its
+# heatmaps in blocks of rows of the same size. The 29x29 grid is one block
+# by default; 64 gives two rows per block and a ragged last block, 32 one
+# row per block, and 16 cuts each row into runs of 16 and 13 cells
+@pytest.mark.parametrize("chunk", [64, 32, 16])
 def test_map_verb_bytes_match_oracle_text_in_blocks(tmp_path, capsys,
                                                     monkeypatch, chunk):
     monkeypatch.setattr(voltmem.cli, "_CSV_CHUNK_ROWS", chunk)

@@ -2,22 +2,26 @@
 
 `circuit.run_transient` loops once per switching onset;
 `transient_oracle.run_transient_per_sample` steps `device.step_device` once
-per sample. For every circuit, grid and seed the two traces must be equal
-bit for bit, and a run that fails must fail with the same error.
+per sample. For every circuit, grid and seed the two records must be equal
+bit for bit, the rows `Trace.to_csv` solves from the record must be the
+oracle's per-sample rows, and a run that fails must fail with the same error.
 """
 
+import io
 import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from transient_oracle import run_transient_per_sample
+from voltmem import circuit
 from voltmem.circuit import SourceWaveform, run_transient
 from voltmem.device import DeviceParams, EmulatorParams, derive_device_params
 from voltmem.oscillation import onset_voltage
 
-FIELDS = ("v_applied", "v_device", "conducting", "current")
+FIELDS = ("v_applied", "conducting")
 T_ACTUATE = 0.5e-3  # the DeviceParams default
 MAX_ROWS = 2500
 
@@ -115,6 +119,10 @@ def outcome(run, *case):
 @example(case=(*fig2b(SourceWaveform("sine", amplitude=0.5, offset=4.69, period=3e-3),
                       jitter_sigma=0.3), 2e-5, 0.03, 1))
 def test_event_core_matches_per_sample_oracle(case):
+    assert_matches_oracle(case)
+
+
+def assert_matches_oracle(case):
     want = outcome(run_transient_per_sample, *case)
     got = outcome(run_transient, *case)
     if isinstance(want, tuple):
@@ -126,6 +134,26 @@ def test_event_core_matches_per_sample_oracle(case):
         # compared as bit patterns, so a flipped zero sign fails too
         np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8),
                                       err_msg=name)
+    # the device voltage and current that to_csv solves per chunk are the
+    # oracle's per-sample solves, as text; a sign flip of a zero shows too
+    r1, device = case[:2]
+    buf = io.StringIO()
+    got.to_csv(buf, r1, device)
+    np.testing.assert_array_equal(buf.getvalue().splitlines(), want.csv().splitlines())
+
+
+# the source sampled in blocks of 64 rows, 1001 rows with a ragged last
+# block: the same rows, and a non-finite sample past the first block fails
+# with the oracle's error
+@pytest.mark.parametrize("source", [
+    SourceWaveform("sawtooth", amplitude=2.0, offset=4.0, period=7e-3),
+    SourceWaveform("sine", amplitude=1.0, offset=4.7, period=3e-3),
+    SourceWaveform("steps", offset=1.0, steps=((3e-3, 5.0), (0.011, 4.0))),
+    SourceWaveform("steps", offset=1.0, steps=((0.011, np.inf),)),
+], ids=["sawtooth", "sine", "steps", "steps-inf"])
+def test_source_blocks_match_per_sample_oracle(monkeypatch, source):
+    monkeypatch.setattr(circuit, "_SOURCE_BLOCK_ROWS", 64)
+    assert_matches_oracle((*fig2b(source, jitter_sigma=0.05), 2e-5, 0.02, 1))
 
 
 def test_hold_count_is_capped():

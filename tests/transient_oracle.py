@@ -1,16 +1,43 @@
 """Per-sample reference for `circuit.run_transient`.
 
 run_transient_per_sample steps `device.step_device` once per sample, so its
-traces come from the scalar device model, not from the event-driven core.
+traces come from the scalar device model, not from the event-driven core. It
+keeps every column it solves, device voltage and current included, and
+OracleTrace.csv gives the rows that `Trace.to_csv` must write.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from voltmem.circuit import (ResolutionError, SourceWaveform, Trace,
+from voltmem.circuit import (ResolutionError, SourceWaveform, csv_rows,
                              solve_series_divider)
 from voltmem.device import DeviceParams, DeviceState, step_device
+
+
+@dataclass(frozen=True)
+class OracleTrace:
+    """Every column of a per-sample transient, sample k at time k * dt."""
+
+    dt: float
+    v_applied: np.ndarray
+    v_device: np.ndarray
+    conducting: np.ndarray
+    current: np.ndarray
+
+    def csv(self, digitize=None) -> str:
+        """The header and rows that `Trace.to_csv` writes for this run, formed
+        from this trace's own per-sample columns."""
+        cols = [np.arange(len(self.v_applied)) * self.dt, self.v_applied,
+                self.v_device, self.v_device, self.conducting, self.current]
+        names = "t,v_applied,v_device,v_out,conducting,current"
+        if digitize is not None:
+            threshold, high, low = digitize
+            cols.append(np.where(self.v_device > threshold, high, low))
+            names += ",logic"
+        return names + "\n" + csv_rows(cols)
 
 
 def device_resistance(p: DeviceParams, s: DeviceState) -> float:
@@ -19,7 +46,7 @@ def device_resistance(p: DeviceParams, s: DeviceState) -> float:
 
 def run_transient_per_sample(r1: float, device: DeviceParams,
                              source: SourceWaveform, dt: float, t_end: float,
-                             seed: int = 0) -> Trace:
+                             seed: int = 0) -> OracleTrace:
     """Fixed-timestep transient of `device` from OFF, behind `r1` across `source`.
 
     Each row records the divider solved with the resistance in effect at that
@@ -53,5 +80,5 @@ def run_transient_per_sample(r1: float, device: DeviceParams,
         current[k] = i
         state = step_device(device, state, v_m, dt, rng)
 
-    return Trace(dt=dt, v_applied=v_applied, v_device=v_device,
-                 conducting=conducting, current=current)
+    return OracleTrace(dt=dt, v_applied=v_applied, v_device=v_device,
+                       conducting=conducting, current=current)
