@@ -2,9 +2,9 @@
 
 The electrical network is purely resistive; the only dynamics is the device
 actuation delay, stepped on a fixed time grid. A Trace stores what the run
-decides (source sample, conduction state); time, device voltage and current,
-v_out and logic are formed per CSV chunk. csv_rows, the CSV row writer of
-traces and of `iv`, formats in numpy and writes exactly Python's "%.9g" text.
+decides, the conduction state; every other column is formed per CSV chunk.
+csv_rows, the CSV row writer of traces and of `iv`, formats in numpy and
+writes exactly Python's "%.9g" text.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .device import DeviceParams, condition_holds
 
 
 _CSV_CHUNK_ROWS = 4096
-# run_transient's source blocks: 2 MB temporaries, whose release lifts glibc's
+# run_transient's source window: 2 MB temporaries, whose release lifts glibc's
 # dynamic mmap and trim thresholds above a CSV chunk's buffers, so that every
 # chunk reuses the heap instead of faulting in memory returned to the system
 _SOURCE_BLOCK_ROWS = 1 << 18
@@ -192,34 +192,33 @@ class SourceWaveform:
 @dataclass(frozen=True)
 class Trace:
     """Uniformly sampled transient record, sample k at time k * dt: the
-    applied voltage and the conduction state in effect. to_csv solves the rest."""
+    conduction state in effect. to_csv forms the rest."""
 
     dt: float
-    v_applied: np.ndarray
     conducting: np.ndarray
 
     def __len__(self):
-        return len(self.v_applied)
+        return len(self.conducting)
 
-    def to_csv(self, fh, r1: float, device: DeviceParams, digitize=None) -> None:
-        """Write the column names, then one row per sample of the divider of `r1`
-        and `device`. Each chunk forms `t` = k * dt, the device voltage (=
-        `v_out`) and current in each row's state and, given the comparator's
-        (threshold, high, low), `logic`: high where v_device > threshold."""
+    def to_csv(self, fh, source: SourceWaveform, r1: float, device: DeviceParams,
+               digitize=None) -> None:
+        """Write the column names, then one row per sample of the run's `source`
+        and divider of `r1` and `device`. Each chunk forms `t` = k * dt, the
+        source at t, the device voltage (= `v_out`) and current in each row's
+        state and, given the comparator's (threshold, high, low), `logic`."""
         names = "t,v_applied,v_device,v_out,conducting,current"
         fh.write(names + ("" if digitize is None else ",logic") + "\n")
         # in chunks, so that the text of only one chunk is held at a time
         for start in range(0, len(self), _CSV_CHUNK_ROWS):
-            rows = slice(start, start + _CSV_CHUNK_ROWS)
-            v, on = self.v_applied[rows], self.conducting[rows]
+            t = np.arange(start, min(start + _CSV_CHUNK_ROWS, len(self))) * self.dt
+            v, on = source.value(t), self.conducting[start:start + len(t)]
             (v_on, i_on), (v_off, i_off) = (solve_series_divider(r1, r_m, v)
                                             for r_m in (device.r_on, device.r_off))
             v_device, current = np.where(on, v_on, v_off), np.where(on, i_on, i_off)
             bad = ~np.isfinite(v_device)
             if bad.any():
                 raise ValueError(f"non-finite device voltage: {v_device[np.argmax(bad)]}")
-            cols = [np.arange(start, start + len(v)) * self.dt,
-                    v, v_device, v_device, on, current]
+            cols = [t, v, v_device, v_device, on, current]
             if digitize is not None:
                 threshold, high, low = digitize
                 cols.append(np.where(v_device > threshold, high, low))
@@ -234,16 +233,17 @@ def solve_series_divider(r1: float, r_m: float, v):
     return v * r_m / total, v / total
 
 
-def _first(mask, lo: int, hi: int, size: int = 64) -> int:
+def _first(mask, lo: int, hi: int) -> int:
     """First sample in [lo, hi) that `mask(a, b)`, a bool array over samples
-    a..b-1, sets; hi if none. Scans blocks that double in size."""
+    a..b-1, sets; hi if none. Scans blocks that double from 64 to a window."""
+    size = 64
     while lo < hi:
         top = min(lo + size, hi)
         found = mask(lo, top)
         k = int(found.argmax())
         if found[k]:
             return lo + k
-        lo, size = top, 2 * size
+        lo, size = top, min(2 * size, _SOURCE_BLOCK_ROWS)
     return hi
 
 
@@ -251,12 +251,13 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
                   dt: float, t_end: float, seed: int = 0) -> Trace:
     """Fixed-timestep transient of `device` from OFF, behind `r1` across `source`.
 
-    Each row records the source sample and the state in effect at that
-    instant. The trace equals, bit for bit, stepping `device.step_device` once
-    per sample from OFF, as tests/transient_oracle.py does. The loop runs once
-    per switching onset: it finds the first sample where the condition holds,
-    then switches if the condition keeps holding for `hold` samples with that
-    onset's jitter offsets, or else resumes one sample after the break.
+    Each row records the state in effect at that instant. The trace equals,
+    bit for bit, stepping `device.step_device` once per sample from OFF, as
+    tests/transient_oracle.py does. The loop runs once per switching onset:
+    it finds the first sample where the condition holds, then switches if
+    the condition keeps holding for `hold` samples with that onset's jitter
+    offsets, or else resumes one sample after the break. No read starts
+    before the last one, so the source is sampled in a forward window.
     """
     if r1 < 0:
         raise ValueError("r1 must be >= 0")
@@ -267,15 +268,7 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
             f"dt={dt} too coarse: must be <= t_actuate/4 = {device.t_actuate / 4.0}")
 
     n = int(round(t_end / dt)) + 1
-    v_applied, conducting = np.empty(n), np.empty(n, dtype=bool)
-    # sampled in blocks, the same doubles as source.value(np.arange(n) * dt)
-    for a in range(0, n, _SOURCE_BLOCK_ROWS):
-        block = v_applied[a:a + _SOURCE_BLOCK_ROWS]
-        block[:] = source.value(np.arange(a, a + len(block)) * dt)
-        bad = ~np.isfinite(block)
-        if bad.any():
-            raise ValueError(f"non-finite source voltage at t={(a + np.argmax(bad)) * dt}")
-
+    conducting = np.empty(n, dtype=bool)
     sigma = device.jitter_sigma
     # step_device restarts pending_elapsed from 0.0 at each onset and adds dt
     # per step until it reaches t_actuate; n + 1 steps fit in no run
@@ -287,6 +280,7 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
     # so numpy.random is never imported
     rng = np.random.default_rng(seed) if sigma > 0 else None
     drawn = np.empty((0, 2))  # pairs drawn but not yet used by a step
+    window, first = np.empty(0), 0  # the source at rows first.. (row k at k * dt)
 
     def offsets(a, b):  # unused pairs a..b-1, one per step with no switch pending
         nonlocal drawn
@@ -298,8 +292,15 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
         return drawn[a:b, 0], drawn[a:b, 1]
 
     def holds(a, b, d):  # rows a..b-1 at this state, rewritten if it ends first
+        nonlocal window, first
+        if b > first + len(window):  # released before the next is sampled
+            window, first = None, a
+            window = source.value(np.arange(a, min(a + _SOURCE_BLOCK_ROWS, n)) * dt)
+            bad = ~np.isfinite(window)
+            if bad.any():
+                raise ValueError(f"non-finite source voltage at t={(a + np.argmax(bad)) * dt}")
         v_m, _ = solve_series_divider(r1, device.r_on if state else device.r_off,
-                                      v_applied[a:b])
+                                      window[a - first:b - first])
         conducting[a:b] = state
         return condition_holds(device, state, v_m, d)
 
@@ -317,4 +318,4 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
         else:  # the switch; past the last row it changes nothing
             state, pos = not state, end
 
-    return Trace(dt=dt, v_applied=v_applied, conducting=conducting)
+    return Trace(dt=dt, conducting=conducting)

@@ -87,7 +87,7 @@ def run_transient_verb(cfg: RunConfig) -> None:
     trace = run_transient(cfg.r1, cfg.device, cfg.source, cfg.dt, cfg.t_end,
                           seed=cfg.seed)
     with _output(cfg) as fh:
-        trace.to_csv(fh, cfg.r1, cfg.device, cfg.digitize)
+        trace.to_csv(fh, cfg.source, cfg.r1, cfg.device, cfg.digitize)
 
 
 def run_osc_check(cfg: RunConfig) -> None:

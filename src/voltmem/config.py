@@ -207,6 +207,8 @@ def _parse(document: str) -> dict:
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:  # too deep, or too many digits
+        raise ConfigError(f"parse error: {e}") from e
     return _want(isinstance(raw, dict), raw, "config document", "a JSON object")
 
 

@@ -20,16 +20,17 @@ def fig2b_transient(source, **grid):
     return run_transient(680.0, FIG2B_DEVICE, source, **grid)
 
 
-def csv_text(tr, digitize=None):
-    """What to_csv writes for a fig2b_transient."""
+def csv_text(tr, source, digitize=None):
+    """What to_csv writes for a fig2b_transient across `source`."""
     buf = io.StringIO()
-    tr.to_csv(buf, 680.0, FIG2B_DEVICE, digitize)
+    tr.to_csv(buf, source, 680.0, FIG2B_DEVICE, digitize)
     return buf.getvalue()
 
 
-def columns(tr, digitize=None):
-    """The CSV columns, by name, that to_csv writes for a fig2b_transient."""
-    names, *rows = csv_text(tr, digitize).splitlines()
+def columns(tr, source, digitize=None):
+    """The CSV columns, by name, that to_csv writes for a fig2b_transient
+    across `source`."""
+    names, *rows = csv_text(tr, source, digitize).splitlines()
     return dict(zip(names.split(","),
                     np.array([row.split(",") for row in rows], dtype=float).T))
 
@@ -152,10 +153,10 @@ def test_waveform_array_matches_scalar_reference(case):
 
 class TestTransient:
     def test_below_threshold_stays_off(self):
-        tr = fig2b_transient(SourceWaveform("constant", offset=1.0),
-                             dt=1e-4, t_end=0.02)
+        src = SourceWaveform("constant", offset=1.0)
+        tr = fig2b_transient(src, dt=1e-4, t_end=0.02)
         assert not tr.conducting.any()
-        assert columns(tr)["v_device"][-1] == pytest.approx(1.0 * 600 / 1280, rel=1e-9)
+        assert columns(tr, src)["v_device"][-1] == pytest.approx(1.0 * 600 / 1280, rel=1e-9)
 
     def test_constant_5v_oscillates(self):
         tr = fig2b_transient(SourceWaveform("constant", offset=5.0),
@@ -169,19 +170,19 @@ class TestTransient:
         first_on = np.argmax(tr.conducting)
         assert first_on > 0
         # device was held at threshold for t_actuate before the flip
-        v_at_arming = tr.v_applied[first_on - 5]
+        v_at_arming = src.value((first_on - 5) * tr.dt)
         assert v_at_arming == pytest.approx(4.693, abs=0.05)
 
     def test_kirchhoff_consistency(self):
         src = SourceWaveform("sawtooth", amplitude=8.0, period=0.05)
-        col = columns(fig2b_transient(src, dt=1e-4, t_end=0.05))
+        col = columns(fig2b_transient(src, dt=1e-4, t_end=0.05), src)
         np.testing.assert_allclose(col["v_applied"],
                                    col["current"] * 680.0 + col["v_device"],
                                    rtol=PRINT_RTOL)
 
     def test_divider_bounds(self):
         src = SourceWaveform("sawtooth", amplitude=8.0, period=0.05)
-        col = columns(fig2b_transient(src, dt=1e-4, t_end=0.05))
+        col = columns(fig2b_transient(src, dt=1e-4, t_end=0.05), src)
         mask = col["v_applied"] > 0
         ratio = col["v_device"][mask] / col["v_applied"][mask]
         assert ((ratio >= 0) & (ratio <= 1)).all()
@@ -191,7 +192,7 @@ class TestTransient:
         a = fig2b_transient(src, dt=1e-4, t_end=0.02, seed=42)
         b = fig2b_transient(src, dt=1e-4, t_end=0.02, seed=42)
         assert (a.conducting == b.conducting).all()
-        assert csv_text(a) == csv_text(b)
+        assert csv_text(a, src) == csv_text(b, src)
 
     def test_resolution_guard(self):
         with pytest.raises(ResolutionError):
@@ -221,39 +222,39 @@ class TestTransient:
         d = replace(FIG2B_DEVICE, r_off=1e308)
         with np.errstate(over="ignore"), \
                 pytest.raises(ValueError, match="non-finite device voltage: inf"):
-            tr = run_transient(680.0, d, SourceWaveform("constant", offset=10.0),
-                               dt=1e-4, t_end=0.01)
-            tr.to_csv(io.StringIO(), 680.0, d)
+            src = SourceWaveform("constant", offset=10.0)
+            tr = run_transient(680.0, d, src, dt=1e-4, t_end=0.01)
+            tr.to_csv(io.StringIO(), src, 680.0, d)
 
 
 class TestDigitize:
     def test_constant_high(self):
-        tr = fig2b_transient(SourceWaveform("constant", offset=8.0),
-                             dt=1e-4, t_end=0.01)
+        src = SourceWaveform("constant", offset=8.0)
+        tr = fig2b_transient(src, dt=1e-4, t_end=0.01)
         # stays OFF only briefly; just check mapping against v_device directly
-        col = columns(tr, (2.5, 5.0, 0.0))
+        col = columns(tr, src, (2.5, 5.0, 0.0))
         assert (col["logic"] == 5.0).any()
         np.testing.assert_array_equal(col["logic"],
                                       np.where(col["v_device"] > 2.5, 5.0, 0.0))
 
     def test_boundary_equality_maps_low(self):
-        tr = fig2b_transient(SourceWaveform("constant", offset=1.0),
-                             dt=1e-4, t_end=0.01)
-        v_device = solve_series_divider(680.0, FIG2B_DEVICE.r_off, tr.v_applied[0])[0]
-        assert (columns(tr, (v_device, 5.0, 0.0))["logic"] == 0.0).all()
+        src = SourceWaveform("constant", offset=1.0)
+        tr = fig2b_transient(src, dt=1e-4, t_end=0.01)
+        v_device = solve_series_divider(680.0, FIG2B_DEVICE.r_off, src.value(0.0))[0]
+        assert (columns(tr, src, (v_device, 5.0, 0.0))["logic"] == 0.0).all()
 
     def test_oscillating_trace_alternates(self):
-        tr = fig2b_transient(SourceWaveform("constant", offset=5.0),
-                             dt=1e-4, t_end=0.05)
-        col = columns(tr, (2.0, 5.0, 0.0))
+        src = SourceWaveform("constant", offset=5.0)
+        tr = fig2b_transient(src, dt=1e-4, t_end=0.05)
+        col = columns(tr, src, (2.0, 5.0, 0.0))
         assert set(np.unique(col["logic"])) == {0.0, 5.0}
         np.testing.assert_array_equal(col["logic"] == 5.0, col["v_device"] > 2.0)
 
 
 def test_csv_export_schema():
-    tr = fig2b_transient(SourceWaveform("constant", offset=1.0),
-                         dt=1e-4, t_end=0.001)
-    lines = csv_text(tr).splitlines()
+    src = SourceWaveform("constant", offset=1.0)
+    tr = fig2b_transient(src, dt=1e-4, t_end=0.001)
+    lines = csv_text(tr, src).splitlines()
     assert lines[0] == "t,v_applied,v_device,v_out,conducting,current"
     assert len(lines) == 1 + len(tr)
     assert lines[1].split(",")[4] == "0"

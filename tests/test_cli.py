@@ -5,13 +5,13 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from peak_memory import traced_peak
 from transient_oracle import run_transient_per_sample
 from voltmem import cli
 from voltmem.circuit import SourceWaveform
@@ -190,12 +190,8 @@ class TestVerbs:
         cfg = write_config(tmp_path, {"device": {"jitter_sigma": sigma},
                                       "sweep": {"points": points}})
         out = tmp_path / "iv.csv"
-        tracemalloc.start()
-        try:
-            assert main(["iv", "--config", cfg, "--out", str(out)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, ["iv", "--config", cfg, "--out", str(out)])
+        assert code == 0
         assert len(out.read_text().splitlines()) > points
         assert peak < 32 * points
 
@@ -206,22 +202,19 @@ class TestVerbs:
         def peak(points):
             cfg = write_config(tmp_path, {"device": {"jitter_sigma": sigma},
                                           "sweep": {"points": points}})
-            tracemalloc.start()
-            try:
-                assert main(["iv", "--config", cfg,
-                             "--out", str(tmp_path / "iv.csv")]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, top = traced_peak(main, ["iv", "--config", cfg,
+                                           "--out", str(tmp_path / "iv.csv")])
+            assert code == 0
+            return top
 
         peak(3)  # builds the CSV formatter's tables, which are kept
         assert peak(4 * 10**5) - peak(10**5) < 100_000
 
-    # a transient stores 9 bytes per sample (v_applied as float64, conducting
-    # as bool) and samples its source in blocks of 2**18; t, the divider's
-    # device voltage and current, and logic are formed per CSV chunk. Both
-    # runs are longer than a source block, so the blocks' temporaries are
-    # the same in both
+    # a transient stores 1 byte per sample (conducting as bool) and reads its
+    # source through one window of 2**18 samples, released before the next
+    # is sampled; t, the source samples, the divider's device voltage and
+    # current, and logic are formed per CSV chunk. Both runs are longer than
+    # a window, so the window's temporaries are the same in both
     @pytest.mark.parametrize("doc", [
         {},
         {"emulator": {"r_int": 220.0}, "device": {"jitter_sigma": 0.05},
@@ -230,16 +223,13 @@ class TestVerbs:
     def test_transient_peak_memory_per_sample(self, tmp_path, doc):
         def peak(t_end):
             cfg = write_config(tmp_path, dict(doc, circuit={"dt": 1e-5, "t_end": t_end}))
-            tracemalloc.start()
-            try:
-                assert main(["transient", "--config", cfg,
-                             "--out", str(tmp_path / "t.csv")]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, top = traced_peak(main, ["transient", "--config", cfg,
+                                           "--out", str(tmp_path / "t.csv")])
+            assert code == 0
+            return top
 
         peak(1e-4)  # builds the CSV formatter's tables, which are kept
-        assert peak(6.0) - peak(3.0) <= 12 * 3 * 10**5
+        assert peak(6.0) - peak(3.0) <= 2 * 3 * 10**5
 
     # map runs block by block and keeps only each cell's uint16 outcome for
     # the heatmaps; the whole-grid kernel grew ~51 bytes per cell. The
@@ -251,13 +241,10 @@ class TestVerbs:
                 "sweep": {"v1": [-1, 6, step], "v2": [-1, 6, step], "v3": -1.9}})
             with open(tmp_path / "heatmap.txt", "w") as heatmaps, \
                     contextlib.redirect_stdout(heatmaps):
-                tracemalloc.start()
-                try:
-                    assert main(["map", "--config", cfg,
-                                 "--out", str(tmp_path / "map.csv")]) == 0
-                    return tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+                code, top = traced_peak(main, ["map", "--config", cfg,
+                                               "--out", str(tmp_path / "map.csv")])
+            assert code == 0
+            return top
 
         peak(1.0)
         assert peak(0.01) - peak(0.02) < 4 * (701**2 - 351**2)

@@ -157,6 +157,19 @@ def test_bad_input_exit_code_names_key(tmp_path, verb, document, code, key):
     assert "Traceback" not in err
 
 
+# json.loads fails past its nesting depth with RecursionError and on an
+# integer longer than Python's 4300-digit limit with ValueError; both exit 2
+@pytest.mark.parametrize("document", [
+    "[" * 100000 + "]" * 100000,
+    '{"seed": ' + "7" * 5000 + "}",
+], ids=["nested-100000-deep", "integer-of-5000-digits"])
+def test_unparseable_document_exits_2(tmp_path, document):
+    got, _, err = run_cli("iv", document, str(tmp_path))
+    assert got == 2
+    assert len(err.splitlines()) == 1 and "parse error" in err
+    assert "Traceback" not in err
+
+
 # one key of each block, with a document that loads around it, and the values
 # of the range that the key's own bound allows
 RANGE_KEYS = [

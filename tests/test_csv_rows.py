@@ -5,14 +5,14 @@ Python near rounding ties and outside 1e-13 <= |v| < 1e30; every output byte
 must equal Python's own text.
 """
 
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voltmem.circuit import _CSV_CHUNK_ROWS, Trace, csv_rows
+from peak_memory import traced_peak
+from voltmem.circuit import _CSV_CHUNK_ROWS, SourceWaveform, Trace, csv_rows
 from voltmem.device import EmulatorParams, derive_device_params
 
 DEVICE = derive_device_params(EmulatorParams())
@@ -155,15 +155,9 @@ class _Sink:
 # with the trace, and a transient computed in blocks can stream through it
 @pytest.mark.parametrize("rows", [200_000, 400_000])
 def test_to_csv_peak_memory_is_bounded(rows):
-    t = np.arange(rows) * 1e-5
-    v = 8.0 * (t / 0.05 % 1.0)
-    trace = Trace(dt=1e-5, v_applied=v, conducting=v > 4.0)
+    source = SourceWaveform("sawtooth", amplitude=8.0, period=0.05)
+    trace = Trace(dt=1e-5, conducting=source.value(np.arange(rows) * 1e-5) > 4.0)
     sink = _Sink()
-    tracemalloc.start()
-    try:
-        trace.to_csv(sink, 680.0, DEVICE, (0.8, 5.0, 0.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(trace.to_csv, sink, source, 680.0, DEVICE, (0.8, 5.0, 0.0))
     assert sink.chars > 40 * rows
     assert peak < 2_000_000

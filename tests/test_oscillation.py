@@ -15,7 +15,7 @@ def device(r_on=160.97560975609755, r_off=600.0):
 
 def square_trace(period_samples, n, dt):
     conducting = (np.arange(n) // (period_samples // 2)) % 2 == 1
-    return Trace(dt=dt, v_applied=np.zeros(n), conducting=conducting)
+    return Trace(dt=dt, conducting=conducting)
 
 
 class TestClosedForm:

@@ -3,7 +3,6 @@ and code by code, and the map verb's CSV and heatmap bytes against text
 built from the oracle."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from voltmem.logic import (INIT_HIGH, INIT_LOW, INPUT_PAIRS, LogicCircuit,
                            run_sequence)
 
 from logic_oracle import sweep_grid
+from peak_memory import traced_peak
 
 
 def _log_uniform(lo, hi):
@@ -173,12 +173,8 @@ def test_relax_program_peak_memory_per_cell():
     c = LogicCircuit(m1=d, m2=d, r_common=1000.0)
     axis = np.array(axis_points((-1.0, 6.0, 0.02)))
     assert len(axis) == 351
-    tracemalloc.start()
-    try:
-        relax_program(c)[:, _table(c, axis[:, None], axis[None, :], -1.9, False)]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(
+        lambda: relax_program(c)[:, _table(c, axis[:, None], axis[None, :], -1.9, False)])
     assert peak < 100 * len(axis) ** 2
 
 

@@ -21,7 +21,6 @@ from voltmem.circuit import SourceWaveform, run_transient
 from voltmem.device import DeviceParams, EmulatorParams, derive_device_params
 from voltmem.oscillation import onset_voltage
 
-FIELDS = ("v_applied", "conducting")
 T_ACTUATE = 0.5e-3  # the DeviceParams default
 MAX_ROWS = 2500
 
@@ -128,23 +127,22 @@ def assert_matches_oracle(case):
     if isinstance(want, tuple):
         assert got == want
         return
-    for name in FIELDS:
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        # compared as bit patterns, so a flipped zero sign fails too
-        np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8),
-                                      err_msg=name)
-    # the device voltage and current that to_csv solves per chunk are the
-    # oracle's per-sample solves, as text; a sign flip of a zero shows too
-    r1, device = case[:2]
+    a, b = got.conducting, want.conducting
+    assert a.dtype == b.dtype and a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+    # the times, source samples, device voltages and currents that to_csv
+    # forms per chunk are the oracle's per-sample columns, as text; a sign
+    # flip of a zero shows too
+    r1, device, source = case[:3]
     buf = io.StringIO()
-    got.to_csv(buf, r1, device)
+    got.to_csv(buf, source, r1, device)
     np.testing.assert_array_equal(buf.getvalue().splitlines(), want.csv().splitlines())
 
 
-# the source sampled in blocks of 64 rows, 1001 rows with a ragged last
-# block: the same rows, and a non-finite sample past the first block fails
-# with the oracle's error
+# the source read through a window of 64 rows, 1001 rows, so that the
+# window moves on inside pending runs and ends ragged, and the CSV written in
+# chunks of 100 rows, each sampling its own times: the same rows, and a
+# non-finite sample past the first window fails with the oracle's error
 @pytest.mark.parametrize("source", [
     SourceWaveform("sawtooth", amplitude=2.0, offset=4.0, period=7e-3),
     SourceWaveform("sine", amplitude=1.0, offset=4.7, period=3e-3),
@@ -153,6 +151,7 @@ def assert_matches_oracle(case):
 ], ids=["sawtooth", "sine", "steps", "steps-inf"])
 def test_source_blocks_match_per_sample_oracle(monkeypatch, source):
     monkeypatch.setattr(circuit, "_SOURCE_BLOCK_ROWS", 64)
+    monkeypatch.setattr(circuit, "_CSV_CHUNK_ROWS", 100)
     assert_matches_oracle((*fig2b(source, jitter_sigma=0.05), 2e-5, 0.02, 1))
 
 
