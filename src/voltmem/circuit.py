@@ -1,10 +1,11 @@
 """Series resistor + volatile memristor circuit, solved quasi-statically.
 
 The electrical network is purely resistive; the only dynamics is the device
-actuation delay, stepped on a fixed time grid. A Trace stores what the run
-decides, the conduction state; every other column is formed per CSV chunk.
-csv_rows, the CSV row writer of traces and of `iv`, formats in numpy and
-writes exactly Python's "%.9g" text.
+actuation delay, stepped on a fixed time grid. The run reads its source
+through one window filled in place, and its Trace stores what it decides,
+the conduction state; every other column is formed per CSV chunk of 2048
+rows. csv_rows, the row writer of traces and of `iv`, formats a chunk's
+distinct float columns in one numpy pass, as exactly Python's "%.9g" text.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from .device import DeviceParams, condition_holds
 
 
 _CSV_CHUNK_ROWS = 4096
-# run_transient's source window: 2 MB temporaries, whose release lifts glibc's
-# dynamic mmap and trim thresholds above a CSV chunk's buffers, so that every
-# chunk reuses the heap instead of faulting in memory returned to the system
-_SOURCE_BLOCK_ROWS = 1 << 18
+# run_transient's source window, 2 MB, filled in place and scanned at most
+# _SCAN_ROWS samples at a time
+_SOURCE_BLOCK_ROWS, _SCAN_ROWS = 1 << 18, 1 << 14
 
 
 @functools.cache
@@ -32,6 +32,9 @@ def _tables():
     two digit words) by 10c + significant digits, `tails` by 10c + digit 8.
     `significant` and `shown4` are indexed by a 4-digit group k: the count of
     significant digits of "%04d" % k, and 4 more than that (0 for k = 0)."""
+    # a freed 1 MB block lifts glibc's dynamic mmap and trim thresholds above
+    # a chunk's buffers, so that each chunk reuses the heap, not faulting it in
+    np.empty(1 << 17)
     # indexed by c: the exact doubles that scale 10**e to 1e8
     up = np.array([float(10 ** (8 - e)) if e <= 8 else 1.0 for e in range(-14, 31)])
     down = np.array([float(10 ** (e - 8)) if e > 8 else 1.0 for e in range(-14, 31)])
@@ -113,20 +116,21 @@ def _g9(x: np.ndarray, out: np.ndarray) -> None:
 
 def csv_rows(cols) -> str:
     """CSV rows of the equal-length vectors `cols`, one per index: a float as
-    `"%.9g" % v`, a bool as 0 or 1. A vector given more than once (the same
-    object) is formatted once."""
+    `"%.9g" % v`, a bool as 0 or 1. The distinct float vectors (a vector
+    given more than once is the same object) are formatted in one _g9 pass."""
+    floats = {id(col): col for col in cols if col.dtype != bool}
+    formatted = np.empty((4, len(floats), len(cols[0])), dtype=np.uint64)
+    _g9(np.array(list(floats.values()), dtype=float).ravel(), formatted.reshape(4, -1))
+    index = {key: f for f, key in enumerate(floats)}
     # the words of each column, a float's four (see _g9) and a bool's one
     starts = np.cumsum([0] + [1 if col.dtype == bool else 4 for col in cols])
     words = np.empty((starts[-1], len(cols[0])), dtype=np.uint64)
-    first = {}  # the first word of each vector
     for col, j, end in zip(cols, starts, starts[1:]):
-        k = first.setdefault(id(col), j)
-        if k < j:
-            words[j:end] = words[k:k + end - j]
-        elif col.dtype == bool:
+        if col.dtype == bool:
             words[j] = col + ord("0")
         else:
-            _g9(np.asarray(col, dtype=float), words[j:end])
+            words[j:end] = formatted[:, index[id(col)]]
+    del formatted
     # the separator is the last byte of each column's last word
     words[starts[1:-1] - 1] |= ord(",") << 56
     words[-1] |= ord("\n") << 56
@@ -177,7 +181,8 @@ class SourceWaveform:
             levels = np.array([self.offset] + [val for _, val in self.steps],
                               dtype=float)
             return levels[np.searchsorted(times, t, side="right")][()]
-        frac = (t / self.period) % 1.0
+        frac = t / self.period
+        frac -= np.floor(frac)  # the same doubles as % 1.0, at a tenth of its cost
         if self.kind == "sawtooth":
             level = frac
         elif self.kind == "sine":
@@ -208,9 +213,11 @@ class Trace:
         state and, given the comparator's (threshold, high, low), `logic`."""
         names = "t,v_applied,v_device,v_out,conducting,current"
         fh.write(names + ("" if digitize is None else ",logic") + "\n")
-        # in chunks, so that the text of only one chunk is held at a time
-        for start in range(0, len(self), _CSV_CHUNK_ROWS):
-            t = np.arange(start, min(start + _CSV_CHUNK_ROWS, len(self))) * self.dt
+        # in chunks, so that the text of only one chunk is held at a time; half
+        # a chunk of 4 or 5 distinct float columns is a _g9 pass of ~8192 values
+        rows = _CSV_CHUNK_ROWS // 2
+        for start in range(0, len(self), rows):
+            t = np.arange(start, min(start + rows, len(self))) * self.dt
             v, on = source.value(t), self.conducting[start:start + len(t)]
             (v_on, i_on), (v_off, i_off) = (solve_series_divider(r1, r_m, v)
                                             for r_m in (device.r_on, device.r_off))
@@ -243,7 +250,7 @@ def _first(mask, lo: int, hi: int) -> int:
         k = int(found.argmax())
         if found[k]:
             return lo + k
-        lo, size = top, min(2 * size, _SOURCE_BLOCK_ROWS)
+        lo, size = top, min(2 * size, _SCAN_ROWS, _SOURCE_BLOCK_ROWS)
     return hi
 
 
@@ -257,7 +264,8 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
     it finds the first sample where the condition holds, then switches if
     the condition keeps holding for `hold` samples with that onset's jitter
     offsets, or else resumes one sample after the break. No read starts
-    before the last one, so the source is sampled in a forward window.
+    before the last one, so the source is sampled in a forward window, and
+    a search keeps no jitter pair from before its current block.
     """
     if r1 < 0:
         raise ValueError("r1 must be >= 0")
@@ -279,26 +287,29 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
     # pending; batches give the same stream. Without jitter no generator is made,
     # so numpy.random is never imported
     rng = np.random.default_rng(seed) if sigma > 0 else None
-    drawn = np.empty((0, 2))  # pairs drawn but not yet used by a step
-    window, first = np.empty(0), 0  # the source at rows first.. (row k at k * dt)
+    drawn, passed = np.empty((0, 2)), 0  # unused pairs, this search's passed-th first
+    window, first = np.empty(min(n, _SOURCE_BLOCK_ROWS)), -n  # source at rows first..
 
     def offsets(a, b):  # unused pairs a..b-1, one per step with no switch pending
-        nonlocal drawn
+        nonlocal drawn, passed
         if rng is None:
             return 0.0, 0.0
-        if b > len(drawn):
-            more = rng.normal(0.0, sigma, size=(max(b, 2 * len(drawn)) - len(drawn), 2))
+        if b - passed > len(drawn):  # draw a scan or more; pairs before a are read no more
+            drawn, passed = drawn[a - passed:], a
+            more = rng.normal(0.0, sigma, size=(max(b - a - len(drawn), _SCAN_ROWS), 2))
             drawn = np.concatenate([drawn, more])
-        return drawn[a:b, 0], drawn[a:b, 1]
+        return drawn[a - passed:b - passed, 0], drawn[a - passed:b - passed, 1]
 
     def holds(a, b, d):  # rows a..b-1 at this state, rewritten if it ends first
-        nonlocal window, first
-        if b > first + len(window):  # released before the next is sampled
-            window, first = None, a
-            window = source.value(np.arange(a, min(a + _SOURCE_BLOCK_ROWS, n)) * dt)
-            bad = ~np.isfinite(window)
-            if bad.any():
-                raise ValueError(f"non-finite source voltage at t={(a + np.argmax(bad)) * dt}")
+        nonlocal first
+        if b > first + len(window):
+            first, top = a, min(a + len(window), n)
+            for lo in range(a, top, _SCAN_ROWS):
+                part = window[lo - a:min(lo + _SCAN_ROWS, top) - a]
+                part[:] = source.value(np.arange(lo, lo + len(part)) * dt)
+                bad = ~np.isfinite(part)
+                if bad.any():
+                    raise ValueError(f"non-finite source voltage at t={(lo + bad.argmax()) * dt}")
         v_m, _ = solve_series_divider(r1, device.r_on if state else device.r_off,
                                       window[a - first:b - first])
         conducting[a:b] = state
@@ -310,7 +321,7 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
         if onset == n:
             break
         d = offsets(onset - pos, onset - pos + 1)
-        drawn = drawn[onset - pos + 1:]
+        drawn, passed = drawn[onset - pos + 1 - passed:], 0
         end = min(onset + hold, n)
         broke = _first(lambda a, b: ~holds(a, b, d), onset + 1, end)
         if broke < end:

@@ -211,15 +211,17 @@ class TestVerbs:
         assert peak(4 * 10**5) - peak(10**5) < 100_000
 
     # a transient stores 1 byte per sample (conducting as bool) and reads its
-    # source through one window of 2**18 samples, released before the next
-    # is sampled; t, the source samples, the divider's device voltage and
+    # source through one window of 2**18 samples, filled in place as it
+    # moves on; t, the source samples, the divider's device voltage and
     # current, and logic are formed per CSV chunk. Both runs are longer than
-    # a window, so the window's temporaries are the same in both
+    # a window, so the window's temporaries are the same in both. A jittered
+    # run that never switches keeps no jitter pair its onset search has passed
     @pytest.mark.parametrize("doc", [
         {},
         {"emulator": {"r_int": 220.0}, "device": {"jitter_sigma": 0.05},
          "source": {"kind": "constant", "offset": 5.0}, "digitize": {}},
-    ], ids=["sawtooth", "jittered-constant-digitized"])
+        {"device": {"jitter_sigma": 0.05}, "source": {"kind": "constant", "offset": 1.0}},
+    ], ids=["sawtooth", "jittered-constant-digitized", "jittered-constant-still"])
     def test_transient_peak_memory_per_sample(self, tmp_path, doc):
         def peak(t_end):
             cfg = write_config(tmp_path, dict(doc, circuit={"dt": 1e-5, "t_end": t_end}))

@@ -101,11 +101,12 @@ def test_edges():
 
 def assert_rows(cols):
     """csv_rows of the columns `cols` is their "%.9g" and "%d" text, with
-    every separator in place."""
+    every separator in place; compared line by line, so that a failure
+    names its first wrong line."""
     rows = zip(*[col.tolist() for col in cols])
-    assert csv_rows(cols) == "".join(",".join(
+    assert csv_rows(cols).split("\n") == [",".join(
         "%d" % v if col.dtype == bool else "%.9g" % v for col, v in zip(cols, row))
-        + "\n" for row in rows)
+        for row in rows] + [""]
 
 
 # fast-path values, zeros of both signs, subnormals, and values that fall
@@ -141,6 +142,24 @@ def test_columns_bools_and_a_repeated_column():
     assert csv_rows([x, on, x, x * 3]) == "".join(
         "%.9g,%d,%.9g,%.9g\n" % (v, b, v, 3 * v)
         for v, b in zip(x.tolist(), on.tolist()))
+
+
+# one _g9 pass formats every distinct float column of a call; columns longer
+# than a chunk, each with every kind of fallback value at its own rows, are
+# put back each in its own place
+FALLBACKS = [999999999.5, -999999998.5, 9.9999999995e-5, np.inf, -np.inf, np.nan,
+             1e30, -1e31, 1.7976931348623157e308, 5e-324, -1e-320,
+             2.2250738585072009e-308, 0.0, -0.0]
+
+
+def test_columns_longer_than_a_chunk_with_fallbacks_at_their_own_rows():
+    n = _CSV_CHUNK_ROWS + 123
+    x, y, z = (with_signs(10.0 ** RNG.uniform(-20.0, 20.0, n))[RNG.permutation(2 * n)[:n]]
+               for _ in range(3))
+    for col in (x, y, z):
+        col[RNG.choice(n, len(FALLBACKS), replace=False)] = FALLBACKS
+    on = RNG.random(n) < 0.5
+    assert_rows([x, on, y, x, z])
 
 
 class _Sink:

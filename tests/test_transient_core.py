@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from peak_memory import traced_peak
 from transient_oracle import run_transient_per_sample
 from voltmem import circuit
 from voltmem.circuit import SourceWaveform, run_transient
+from voltmem.config import load_config_dict
 from voltmem.device import DeviceParams, EmulatorParams, derive_device_params
 from voltmem.oscillation import onset_voltage
 
@@ -139,9 +141,10 @@ def assert_matches_oracle(case):
     np.testing.assert_array_equal(buf.getvalue().splitlines(), want.csv().splitlines())
 
 
-# the source read through a window of 64 rows, 1001 rows, so that the
-# window moves on inside pending runs and ends ragged, and the CSV written in
-# chunks of 100 rows, each sampling its own times: the same rows, and a
+# the source read through a window of 64 rows, filled and scanned 16 rows at
+# a time, 1001 rows, so that the window moves on inside pending runs and ends
+# ragged and jitter pairs are drawn a scan at a time, and the CSV written in
+# chunks of 50 rows, each sampling its own times: the same rows, and a
 # non-finite sample past the first window fails with the oracle's error
 @pytest.mark.parametrize("source", [
     SourceWaveform("sawtooth", amplitude=2.0, offset=4.0, period=7e-3),
@@ -151,6 +154,7 @@ def assert_matches_oracle(case):
 ], ids=["sawtooth", "sine", "steps", "steps-inf"])
 def test_source_blocks_match_per_sample_oracle(monkeypatch, source):
     monkeypatch.setattr(circuit, "_SOURCE_BLOCK_ROWS", 64)
+    monkeypatch.setattr(circuit, "_SCAN_ROWS", 16)
     monkeypatch.setattr(circuit, "_CSV_CHUNK_ROWS", 100)
     assert_matches_oracle((*fig2b(source, jitter_sigma=0.05), 2e-5, 0.02, 1))
 
@@ -164,3 +168,14 @@ def test_hold_count_is_capped():
     assert time.perf_counter() - t0 < 2.0
     assert len(tr) == 100001
     assert not tr.conducting.any()
+
+
+# the source window is filled in place a scan at a time, so transient-sweep's
+# 200001 samples peak near the window's 1.6 MB (sampling the whole window at
+# once peaked at 5.0 MB)
+def test_run_transient_peak_memory_on_the_sweep():
+    cfg = load_config_dict({"verb": "transient", "circuit": {"dt": 1e-5, "t_end": 2}})
+    trace, peak = traced_peak(run_transient, cfg.r1, cfg.device, cfg.source,
+                              cfg.dt, cfg.t_end)
+    assert len(trace) == 200001
+    assert peak < 3_000_000
