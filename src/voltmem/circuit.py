@@ -6,6 +6,9 @@ through one window filled in place, and its Trace stores what it decides,
 the conduction state; every other column is formed per CSV chunk of 2048
 rows. csv_rows, the row writer of traces and of `iv`, formats a chunk's
 distinct float columns in one numpy pass, as exactly Python's "%.9g" text.
+
+Only the `iv` and `transient` verbs load this module; ResolutionError, which
+run_transient raises, is defined in `device` and re-exported here.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceParams, condition_holds
+from .config import _CSV_CHUNK_ROWS
+from .device import DeviceParams, ResolutionError, condition_holds
 
-
-_CSV_CHUNK_ROWS = 4096
 # run_transient's source window, 2 MB, filled in place and scanned at most
 # _SCAN_ROWS samples at a time
 _SOURCE_BLOCK_ROWS, _SCAN_ROWS = 1 << 18, 1 << 14
@@ -137,10 +139,6 @@ def csv_rows(cols) -> str:
     text = words.T.tobytes()
     del words  # so that only one copy is held while the NULs are dropped
     return text.translate(None, b"\0").decode("ascii")
-
-
-class ResolutionError(ValueError):
-    """dt too coarse to resolve the device actuation delay."""
 
 
 @dataclass(frozen=True)
@@ -310,8 +308,9 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
                 bad = ~np.isfinite(part)
                 if bad.any():
                     raise ValueError(f"non-finite source voltage at t={(lo + bad.argmax()) * dt}")
-        v_m, _ = solve_series_divider(r1, device.r_on if state else device.r_off,
-                                      window[a - first:b - first])
+        # solve_series_divider's device voltage, without its loop current
+        r_m = device.r_on if state else device.r_off
+        v_m = window[a - first:b - first] * r_m / (r1 + r_m)
         conducting[a:b] = state
         return condition_holds(device, state, v_m, d)
 

@@ -8,9 +8,10 @@ compute it (a `map` chunk is whole v1 rows, or where the v2 axis alone is
 longer than _CSV_CHUNK_ROWS, a run of at most that many of one row's v2
 values); the other verbs solve first, then write.
 
-A verb imports the modules it runs when it runs: `logic` for gate and map,
-`oscillation` for osc-check. The process entry is `run`; `main` is for
-callers in a running interpreter.
+A verb imports the modules it runs when it runs: `circuit` for iv and
+transient, `logic` for gate and map, `oscillation` for osc-check. So this
+module takes ResolutionError from `device` and _CSV_CHUNK_ROWS from `config`.
+The process entry is `run`; `main` is for callers in a running interpreter.
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ from itertools import product
 import numpy as np
 
 from . import config as cfgmod
-from .circuit import (_CSV_CHUNK_ROWS, ResolutionError, SourceWaveform,
-                      csv_rows, run_transient)
-from .config import ConfigError, RunConfig, axis_points
-from .device import condition_holds, derive_device_params
+from .config import _CSV_CHUNK_ROWS, ConfigError, RunConfig, axis_points
+from .device import ResolutionError, condition_holds, derive_device_params
 
 _MAP_GLYPHS = "0123456789ABCDEF"
 _OSC_GLYPH = "*"
@@ -62,6 +61,7 @@ def run_iv_sweep(cfg: RunConfig) -> None:
     actuation delay, so the trace depends only on voltage, not on sweep rate.
     With jitter, every point draws a fresh pair of threshold offsets.
     """
+    from .circuit import SourceWaveform, csv_rows
     d, sigma = cfg.device, cfg.device.jitter_sigma
     rng = np.random.default_rng(cfg.seed) if sigma > 0 else None
     n = cfg.iv_points
@@ -84,6 +84,7 @@ def run_iv_sweep(cfg: RunConfig) -> None:
 
 
 def run_transient_verb(cfg: RunConfig) -> None:
+    from .circuit import run_transient
     trace = run_transient(cfg.r1, cfg.device, cfg.source, cfg.dt, cfg.t_end,
                           seed=cfg.seed)
     with _output(cfg) as fh:
@@ -202,12 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="voltmem",
         description="Volatile-memristor circuit simulator (hysteresis, "
                     "oscillations, implication logic maps)")
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in cfgmod.VERBS:
-        p = sub.add_parser(verb)
-        p.add_argument("--config", help="path to a JSON config document")
-        p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--seed", type=int, help="RNG seed override")
+    parser.add_argument("verb", choices=cfgmod.VERBS)
+    parser.add_argument("--config", help="path to a JSON config document")
+    parser.add_argument("--out", help="output file (default: stdout)")
+    parser.add_argument("--seed", type=int, help="RNG seed override")
     return parser
 
 

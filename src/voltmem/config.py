@@ -5,7 +5,9 @@ sweep. The emulator and device blocks take the fields of EmulatorParams and
 DeviceParams; SCHEMA is the reference for every other key and drives parsing,
 defaults, bounds and serialisation, and with _BLOCKS it defines RunConfig's
 fields. Unknown keys are rejected; defaults are filled in so a loaded config is
-fully resolved and can be echoed verbatim in the run header.
+fully resolved and can be echoed verbatim in the run header. The source
+block's SourceWaveform is built only for a verb that takes the block, so only
+that verb's load imports `circuit`.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .device import EmulatorParams, derive_device_params
-from .circuit import SourceWaveform
 
 VERBS = ("iv", "transient", "osc-check", "gate", "map")
 MAX_ROWS = 10**8  # the most iv points, transient samples or map cells of a run
+_CSV_CHUNK_ROWS = 4096  # rows (map: cells) of a CSV chunk; Trace.to_csv writes half
 
 
 class ConfigError(Exception):
@@ -138,12 +140,19 @@ SCHEMA = (
     Key("sweep", "v3", ("map",), _real, -1.9),
 )
 
+
+def _waveform(*args, **kwargs):
+    from .circuit import SourceWaveform  # only a verb with a source loads circuit
+    return SourceWaveform(*args, **kwargs)
+
+
 # Each block, and for a block whose keys (in SCHEMA order) build one RunConfig
-# field: (build from the values, back to the values, field if block absent)
+# field: (build from the values, back to the values, the keyword arguments
+# that build the field if the block is absent, or None to leave it None)
 _BLOCKS = {
     "": None, "circuit": None, "sweep": None,
-    "source": (SourceWaveform, astuple,
-               SourceWaveform(kind="sawtooth", amplitude=8.0, period=0.05)),
+    "source": (_waveform, astuple,
+               dict(kind="sawtooth", amplitude=8.0, period=0.05)),
     "digitize": (lambda *values: values, tuple, None),
 }
 # top-level keys besides those in SCHEMA
@@ -254,8 +263,10 @@ def load_config_dict(raw: dict) -> RunConfig:
             resolved.update(values)
         elif keys:
             build, _, absent = composite
-            resolved[name] = (absent if raw.get(name) is None
-                              else _build(name, build, *values.values()))
+            if raw.get(name) is not None:
+                resolved[name] = _build(name, build, *values.values())
+            elif absent is not None:
+                resolved[name] = build(**absent)
     cfg = RunConfig(verb=verb, emulator=emulator, device=device, **resolved)
 
     # checks across keys that no model constructor makes

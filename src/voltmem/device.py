@@ -3,12 +3,18 @@
 The device is a threshold switch: OFF below the pull-in voltage, ON above it,
 bistable in between (the memory window). Switching is delayed by a configurable
 actuation time and can optionally be jittered to mimic noisy relay thresholds.
+ResolutionError, which a time grid too coarse for that delay raises, lives
+here so that the CLI can catch it without loading the transient core.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+
+class ResolutionError(ValueError):
+    """dt too coarse to resolve the device actuation delay."""
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,14 @@ threshold while in the ON state it falls below the hold level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .device import DeviceParams
-from .circuit import Trace
+
+if TYPE_CHECKING:  # osc-check, which loads this module, never loads circuit
+    from .circuit import Trace
 
 
 @dataclass(frozen=True)

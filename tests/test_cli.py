@@ -181,6 +181,18 @@ class TestVerbs:
         assert "unrecognized arguments: --jobs 4" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["foo"], "argument verb: invalid choice: 'foo'"),
+        ([], "the following arguments are required: verb"),
+    ])
+    def test_bad_verb_rejected(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     # sweep.points admits 1e8, so iv keeps one bool state per point and
     # formats its rows a chunk at a time; a list of every row took ~120
     # bytes per point
@@ -607,10 +619,11 @@ print(code, gc.get_freeze_count() > 0,
       *sorted(m for m in sys.modules if m.startswith("voltmem.")))
 """
 
-# the voltmem modules that each verb loads: logic only for gate and map,
-# oscillation only for osc-check
-_CORE = ["voltmem.circuit", "voltmem.cli", "voltmem.config", "voltmem.device"]
-VERB_MODULES = {"iv": _CORE, "transient": _CORE,
+# the voltmem modules that each verb loads: circuit only for iv and
+# transient, logic only for gate and map, oscillation only for osc-check
+_CORE = ["voltmem.cli", "voltmem.config", "voltmem.device"]
+VERB_MODULES = {"iv": sorted(_CORE + ["voltmem.circuit"]),
+                "transient": sorted(_CORE + ["voltmem.circuit"]),
                 "osc-check": sorted(_CORE + ["voltmem.oscillation"]),
                 "gate": sorted(_CORE + ["voltmem.logic"]),
                 "map": sorted(_CORE + ["voltmem.logic"])}
