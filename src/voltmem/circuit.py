@@ -2,7 +2,7 @@
 
 The electrical network is purely resistive; the only dynamics is the device
 actuation delay, stepped on a fixed time grid. The run reads its source
-through one window filled in place, and its Trace stores what it decides,
+through one 2**14-sample window, and its Trace stores what it decides,
 the conduction state; every other column is formed per CSV chunk of 2048
 rows. csv_rows, the row writer of traces and of `iv`, formats a chunk's
 distinct float columns in one numpy pass, as exactly Python's "%.9g" text.
@@ -21,9 +21,9 @@ import numpy as np
 from .config import _CSV_CHUNK_ROWS
 from .device import DeviceParams, ResolutionError, condition_holds
 
-# run_transient's source window, 2 MB, filled in place and scanned at most
-# _SCAN_ROWS samples at a time
-_SOURCE_BLOCK_ROWS, _SCAN_ROWS = 1 << 18, 1 << 14
+# run_transient's largest scan, its source window (128 kB of float64) and its
+# smallest batch of jitter pairs
+_SCAN_ROWS = 1 << 14
 
 
 @functools.cache
@@ -217,9 +217,8 @@ class Trace:
         for start in range(0, len(self), rows):
             t = np.arange(start, min(start + rows, len(self))) * self.dt
             v, on = source.value(t), self.conducting[start:start + len(t)]
-            (v_on, i_on), (v_off, i_off) = (solve_series_divider(r1, r_m, v)
-                                            for r_m in (device.r_on, device.r_off))
-            v_device, current = np.where(on, v_on, v_off), np.where(on, i_on, i_off)
+            v_device, current = solve_series_divider(
+                r1, np.where(on, device.r_on, device.r_off), v)
             bad = ~np.isfinite(v_device)
             if bad.any():
                 raise ValueError(f"non-finite device voltage: {v_device[np.argmax(bad)]}")
@@ -231,16 +230,17 @@ class Trace:
 
 
 def solve_series_divider(r1: float, r_m: float, v):
-    """Device voltage and loop current of the series divider; v may be an array."""
+    """Device voltage and loop current of the series divider; r_m and v may be row arrays."""
     total = r1 + r_m
-    if total <= 0:
+    if np.any(total <= 0):
         raise ValueError("r1 + r_m must be positive")
     return v * r_m / total, v / total
 
 
 def _first(mask, lo: int, hi: int) -> int:
     """First sample in [lo, hi) that `mask(a, b)`, a bool array over samples
-    a..b-1, sets; hi if none. Scans blocks that double from 64 to a window."""
+    a..b-1, sets; hi if none. Scans blocks that double from 64 to _SCAN_ROWS,
+    so that no read is longer than run_transient's source window."""
     size = 64
     while lo < hi:
         top = min(lo + size, hi)
@@ -248,7 +248,7 @@ def _first(mask, lo: int, hi: int) -> int:
         k = int(found.argmax())
         if found[k]:
             return lo + k
-        lo, size = top, min(2 * size, _SCAN_ROWS, _SOURCE_BLOCK_ROWS)
+        lo, size = top, min(2 * size, _SCAN_ROWS)
     return hi
 
 
@@ -286,7 +286,7 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
     # so numpy.random is never imported
     rng = np.random.default_rng(seed) if sigma > 0 else None
     drawn, passed = np.empty((0, 2)), 0  # unused pairs, this search's passed-th first
-    window, first = np.empty(min(n, _SOURCE_BLOCK_ROWS)), -n  # source at rows first..
+    window, first = np.empty(min(n, _SCAN_ROWS)), -n  # source at rows first..
 
     def offsets(a, b):  # unused pairs a..b-1, one per step with no switch pending
         nonlocal drawn, passed
@@ -301,13 +301,11 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
     def holds(a, b, d):  # rows a..b-1 at this state, rewritten if it ends first
         nonlocal first
         if b > first + len(window):
-            first, top = a, min(a + len(window), n)
-            for lo in range(a, top, _SCAN_ROWS):
-                part = window[lo - a:min(lo + _SCAN_ROWS, top) - a]
-                part[:] = source.value(np.arange(lo, lo + len(part)) * dt)
-                bad = ~np.isfinite(part)
-                if bad.any():
-                    raise ValueError(f"non-finite source voltage at t={(lo + bad.argmax()) * dt}")
+            first, part = a, window[:n - a]
+            part[:] = source.value(np.arange(a, a + len(part)) * dt)
+            bad = ~np.isfinite(part)
+            if bad.any():
+                raise ValueError(f"non-finite source voltage at t={(a + bad.argmax()) * dt}")
         # solve_series_divider's device voltage, without its loop current
         r_m = device.r_on if state else device.r_off
         v_m = window[a - first:b - first] * r_m / (r1 + r_m)

@@ -53,6 +53,25 @@ class TestDivider:
         with pytest.raises(ValueError):
             solve_series_divider(0.0, 0.0, 1.0)
 
+    # as Trace.to_csv solves a chunk, each row in its own state; a config may
+    # give the resistances as ints
+    @pytest.mark.parametrize("r1", [0.0, 0, 680.0])
+    @pytest.mark.parametrize("r_on", [600 * 220 / 820, 161])
+    def test_per_row_resistance_is_each_rows_scalar_solve(self, r1, r_on):
+        on = np.array([True, False, False, True, False])
+        r_m = np.where(on, r_on, 600)
+        v = np.array([4.693333333, -0.0, 1e-12, -7.5, 1e12])
+        v_m, i = solve_series_divider(r1, r_m, v)
+        rows = [solve_series_divider(r1, r, x) for r, x in zip(r_m.tolist(), v)]
+        np.testing.assert_array_equal(v_m.view(np.uint64),
+                                      np.array([row[0] for row in rows]).view(np.uint64))
+        np.testing.assert_array_equal(i.view(np.uint64),
+                                      np.array([row[1] for row in rows]).view(np.uint64))
+
+    def test_rejects_one_non_positive_row(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            solve_series_divider(0.0, np.array([600.0, 0.0, 1000.0]), np.ones(3))
+
 
 class TestWaveforms:
     def test_constant(self):

@@ -223,11 +223,11 @@ class TestVerbs:
         assert peak(4 * 10**5) - peak(10**5) < 100_000
 
     # a transient stores 1 byte per sample (conducting as bool) and reads its
-    # source through one window of 2**18 samples, filled in place as it
-    # moves on; t, the source samples, the divider's device voltage and
-    # current, and logic are formed per CSV chunk. Both runs are longer than
-    # a window, so the window's temporaries are the same in both. A jittered
-    # run that never switches keeps no jitter pair its onset search has passed
+    # source through one window of 2**14 samples that moves on; t, the
+    # source samples, the divider's device voltage and current, and logic
+    # are formed per CSV chunk. Both runs are longer than a window, so the
+    # window's temporaries are the same in both. A jittered run that never
+    # switches keeps no jitter pair its onset search has passed
     @pytest.mark.parametrize("doc", [
         {},
         {"emulator": {"r_int": 220.0}, "device": {"jitter_sigma": 0.05},
