@@ -14,6 +14,7 @@ run_transient raises, is defined in `device` and re-exported here.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,25 +142,24 @@ def csv_rows(cols) -> str:
     return text.translate(None, b"\0").decode("ascii")
 
 
-@dataclass(frozen=True)
-class SourceWaveform:
-    """Piecewise-defined applied-voltage signal.
+class SourceWaveform(namedtuple("SourceWaveform",
+                                ["kind", "amplitude", "offset", "period", "steps"],
+                                defaults=(0.0, 0.0, 0.0, ()))):
+    """Piecewise-defined applied-voltage signal; checked in __new__ (see
+    device.DeviceParams).
 
     kind: constant | sawtooth | triangle | sine | steps.
     sawtooth ramps offset -> offset+amplitude each period; triangle swings
     offset +/- amplitude starting upward; steps holds `offset` before the
-    first entry of `steps`, then the value of the latest entry.
+    first entry of `steps`, a tuple of (time, value) pairs, then the value
+    of the latest entry.
     """
 
-    kind: str
-    amplitude: float = 0.0
-    offset: float = 0.0
-    period: float = 0.0
-    steps: tuple[tuple[float, float], ...] = ()
-
+    __slots__ = ()
     _KINDS = ("constant", "sawtooth", "triangle", "sine", "steps")
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown waveform kind {self.kind!r}")
         if self.kind in ("sawtooth", "triangle", "sine") and self.period <= 0:
@@ -168,6 +168,7 @@ class SourceWaveform:
             times = [t for t, _ in self.steps]
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ValueError("step times must be strictly increasing")
+        return self
 
     def value(self, t):
         """Source voltage at time `t`, a float or an array of times."""

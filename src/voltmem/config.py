@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, fields, make_dataclass, replace
+from collections import namedtuple
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -151,18 +151,19 @@ def _waveform(*args, **kwargs):
 # that build the field if the block is absent, or None to leave it None)
 _BLOCKS = {
     "": None, "circuit": None, "sweep": None,
-    "source": (_waveform, astuple,
+    "source": (_waveform, tuple,
                dict(kind="sawtooth", amplitude=8.0, period=0.05)),
     "digitize": (lambda *values: values, tuple, None),
 }
 # top-level keys besides those in SCHEMA
 _TOP = ["verb", "emulator", "device", *filter(None, _BLOCKS)]
 
-RunConfig = make_dataclass("RunConfig", ["verb", "emulator", "device"] + [
-    (name, object, None) for name in dict.fromkeys(
-        k.block if _BLOCKS[k.block] else k.field or k.name for k in SCHEMA)],
-    frozen=True, namespace={"__module__": __name__, "__doc__": "A loaded "
-    "config, fields in SCHEMA order; those its verb does not take are None."})
+_FIELDS = list(dict.fromkeys(k.block if _BLOCKS[k.block] else k.field or k.name
+                             for k in SCHEMA))
+RunConfig = namedtuple("RunConfig", ["verb", "emulator", "device", *_FIELDS],
+                       defaults=[None] * len(_FIELDS))
+RunConfig.__doc__ = ("A loaded config, fields in SCHEMA order; those its verb "
+                     "does not take are None.")
 
 
 def _keys(verb: str, block: str) -> list[Key]:
@@ -190,12 +191,13 @@ def _build(where: str, make, *args, **kwargs):
 
 
 def _params(raw: dict, name: str, base):
-    """An emulator or device block: fields of `base`, values kept as given."""
+    """An emulator or device block: fields of `base`, values kept as given.
+    The record is rebuilt through its class, whose checks _replace skips."""
     block = _block(raw, name)
-    _check_keys(block, [f.name for f in fields(base)], name)
+    _check_keys(block, base._fields, name)
     for key, val in block.items():
         _finite(val, f"{name}.{key}")
-    return _build(name, replace, base, **block)
+    return _build(name, type(base), *base._replace(**block))
 
 
 def axis_size(spec: tuple[float, float, float]) -> int:
@@ -301,14 +303,14 @@ def load_config_dict(raw: dict) -> RunConfig:
             r1.value(val, "sweep.values")
         else:
             _build("sweep.values", lambda: derive_device_params(
-                replace(emulator, r_int=val)))
+                EmulatorParams(*emulator._replace(r_int=val))))
     return cfg
 
 
 def serialize(cfg: RunConfig) -> str:
     """Resolved config back to its JSON document form (load round-trips)."""
-    doc: dict = {"verb": cfg.verb, "emulator": asdict(cfg.emulator),
-                 "device": asdict(cfg.device)}
+    doc: dict = {"verb": cfg.verb, "emulator": cfg.emulator._asdict(),
+                 "device": cfg.device._asdict()}
     for name, composite in _BLOCKS.items():
         keys = _keys(cfg.verb, name)
         if composite is None:
@@ -328,5 +330,5 @@ def header_lines(cfg: RunConfig) -> list[str]:
     The output path is omitted so that identical runs aimed at different
     files stay byte-identical.
     """
-    echo = serialize(replace(cfg, out=None))
+    echo = serialize(cfg._replace(out=None))
     return ["resolved config:"] + [line.rstrip() for line in echo.splitlines()]

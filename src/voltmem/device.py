@@ -10,27 +10,28 @@ here so that the CLI can catch it without loading the transient core.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 
 class ResolutionError(ValueError):
     """dt too coarse to resolve the device actuation delay."""
 
 
-@dataclass(frozen=True)
-class DeviceParams:
-    """Electrical parameters of one volatile memristor."""
+class DeviceParams(namedtuple("DeviceParams", [
+        "r_on", "r_off", "v_th_pos", "v_hold_pos", "v_th_neg", "v_hold_neg",
+        "t_actuate", "jitter_sigma"], defaults=(0.5e-3, 0.0))):
+    """Electrical parameters of one volatile memristor; t_actuate is in
+    seconds, a reed relay's order of magnitude by default.
 
-    r_on: float
-    r_off: float
-    v_th_pos: float
-    v_hold_pos: float
-    v_th_neg: float
-    v_hold_neg: float
-    t_actuate: float = 0.5e-3  # seconds; reed-relay order of magnitude
-    jitter_sigma: float = 0.0
+    Like every checked record of the package, it checks its fields in
+    __new__, which _replace and _make skip: a changed copy is built through
+    the class, e.g. DeviceParams(*d._replace(r_off=1e3)).
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.r_on < self.r_off:
             raise ValueError(f"need 0 < r_on < r_off, got r_on={self.r_on}, r_off={self.r_off}")
         if not 0 < self.v_hold_pos < self.v_th_pos:
@@ -43,40 +44,34 @@ class DeviceParams:
             raise ValueError("t_actuate must be >= 0")
         if self.jitter_sigma < 0:
             raise ValueError("jitter_sigma must be >= 0")
+        return self
 
 
-@dataclass(frozen=True)
-class EmulatorParams:
+class EmulatorParams(namedtuple("EmulatorParams", [
+        "r_coil", "r_int", "l_coil", "v_pull_in", "v_drop_out"],
+        defaults=(600.0, 680.0, 0.17, 2.2, 1.6))):
     """Relay + resistor assembly that emulates one volatile memristor."""
 
-    r_coil: float = 600.0
-    r_int: float = 680.0
-    l_coil: float = 0.17
-    v_pull_in: float = 2.2
-    v_drop_out: float = 1.6
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("r_coil", "r_int", "l_coil", "v_pull_in", "v_drop_out"):
-            if getattr(self, name) <= 0:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, val in zip(self._fields, self):
+            if val <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.v_drop_out >= self.v_pull_in:
             raise ValueError("v_drop_out must be below v_pull_in")
+        return self
 
 
-@dataclass(frozen=True)
-class DeviceState:
-    """Conduction state plus the pending-switch accumulator.
-
-    While a switching condition holds continuously, `pending_elapsed`
-    accumulates simulation time; the state flips once it reaches t_actuate.
-    `pending_offsets` are the per-onset jitter draws applied to the two
-    thresholds of the active condition (zeros when jitter is disabled).
-    """
-
-    conducting: bool = False
-    pending_target: bool | None = None
-    pending_elapsed: float = 0.0
-    pending_offsets: tuple[float, float] = (0.0, 0.0)
+# Conduction state plus the pending-switch accumulator. While a switching
+# condition holds continuously, `pending_elapsed` accumulates simulation
+# time; the state flips once it reaches t_actuate. `pending_offsets` are the
+# per-onset jitter draws applied to the two thresholds of the active
+# condition (zeros when jitter is disabled).
+DeviceState = namedtuple(
+    "DeviceState", ["conducting", "pending_target", "pending_elapsed", "pending_offsets"],
+    defaults=(False, None, 0.0, (0.0, 0.0)))
 
 
 def derive_device_params(e: EmulatorParams) -> DeviceParams:
@@ -146,8 +141,8 @@ def step_device(p: DeviceParams, s: DeviceState, v_device: float, dt: float,
     if not condition_holds(p, s.conducting, v_device, offsets):
         if s.pending_target is None and s.pending_elapsed == 0.0:
             return s
-        return replace(s, pending_target=None, pending_elapsed=0.0,
-                       pending_offsets=(0.0, 0.0))
+        return s._replace(pending_target=None, pending_elapsed=0.0,
+                          pending_offsets=(0.0, 0.0))
 
     elapsed = s.pending_elapsed + dt
     if elapsed >= p.t_actuate:

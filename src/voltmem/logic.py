@@ -25,7 +25,7 @@ the tests and in perfbench/, which wraps run_gate and solve_node.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -48,14 +48,15 @@ INPUT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 INIT_LOW, INIT_HIGH = 0.0, 5.0
 
 
-@dataclass(frozen=True)
-class LogicCircuit:
-    m1: DeviceParams
-    m2: DeviceParams
-    r_common: float = 220.0
-    v_hold_level: float = 1.9
+class LogicCircuit(namedtuple("LogicCircuit", ["m1", "m2", "r_common", "v_hold_level"],
+                              defaults=(220.0, 1.9))):
+    """The two devices, the common resistor and the hold level V0; checked
+    in __new__ (see DeviceParams)."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.r_common <= 0:
             raise ValueError("r_common must be positive")
         for name, d in (("m1", self.m1), ("m2", self.m2)):
@@ -63,34 +64,31 @@ class LogicCircuit:
                 raise ValueError(
                     f"v_hold_level={self.v_hold_level} outside bistable window "
                     f"({d.v_hold_pos}, {d.v_th_pos}) of {name}")
+        return self
 
 
-@dataclass(frozen=True)
-class Phase:
-    v1: float
-    v2: float
-    v3: float
-    switch_closed: bool
-    duration: float
+Phase = namedtuple("Phase", ["v1", "v2", "v3", "switch_closed", "duration"])
 
 
-@dataclass(frozen=True)
-class PhaseProgram:
-    """init -> hold -> calc -> hold schedule.
+class PhaseProgram(namedtuple("PhaseProgram", ["phases"])):
+    """init -> hold -> calc -> hold schedule, a tuple of Phases; checked in
+    __new__ (see DeviceParams).
 
     The first phase is the initialisation phase: its V1/V2 are overridden per
     input pair with INIT_LOW / INIT_HIGH.
     """
 
-    phases: Tuple[Phase, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.phases) < 2:
             raise ValueError("program needs at least init and hold phases")
         if any(ph.duration <= 0 for ph in self.phases):
             raise ValueError("phase durations must be positive")
         if not (self.phases[0].switch_closed and self.phases[-1].switch_closed):
             raise ValueError("first and last phases must have the switch closed")
+        return self
 
 
 def canonical_program(v1: float, v2: float, v3: float, v0: float = 1.9,
@@ -104,14 +102,9 @@ def canonical_program(v1: float, v2: float, v3: float, v0: float = 1.9,
     ))
 
 
-@dataclass(frozen=True)
-class GateResult:
-    final_states: Dict[Tuple[int, int], Tuple[int, int]]
-    code_m1: int
-    code_m2: int
-    label_m1: str
-    label_m2: str
-    oscillated: bool
+# final_states maps each input pair to its (s1, s2)
+GateResult = namedtuple("GateResult", ["final_states", "code_m1", "code_m2",
+                                       "label_m1", "label_m2", "oscillated"])
 
 
 def solve_node(c: LogicCircuit, states: Tuple[bool, bool], v1: float, v2: float,
@@ -161,8 +154,8 @@ def run_sequence(c: LogicCircuit, prog: PhaseProgram,
     if a not in (0, 1) or b not in (0, 1):
         raise ValueError(f"inputs must be bits, got {inputs}")
 
-    init = replace(prog.phases[0], v1=INIT_HIGH if a else INIT_LOW,
-                   v2=INIT_HIGH if b else INIT_LOW)
+    init = prog.phases[0]._replace(v1=INIT_HIGH if a else INIT_LOW,
+                                   v2=INIT_HIGH if b else INIT_LOW)
     states = (False, False)
     oscillated = False
     for phase in (init,) + prog.phases[1:]:

@@ -7,7 +7,7 @@ threshold while in the ON state it falls below the hold level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -18,12 +18,10 @@ if TYPE_CHECKING:  # osc-check, which loads this module, never loads circuit
     from .circuit import Trace
 
 
-@dataclass(frozen=True)
-class OscillationReport:
-    oscillating: bool
-    transition_count: int
-    frequency_estimate: float | None = None
-    duty_cycle: float | None = None
+OscillationReport = namedtuple(
+    "OscillationReport",
+    ["oscillating", "transition_count", "frequency_estimate", "duty_cycle"],
+    defaults=(None, None))
 
 
 def onset_voltage(d: DeviceParams, r1: float) -> float:

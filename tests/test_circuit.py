@@ -1,5 +1,4 @@
 import io
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,7 +237,7 @@ class TestTransient:
     def test_non_finite_device_voltage_raises(self):
         # 10 V across r_off = 1e308 overflows the OFF-state divider; the
         # record holds, and solving its rows for the CSV fails
-        d = replace(FIG2B_DEVICE, r_off=1e308)
+        d = FIG2B_DEVICE._replace(r_off=1e308)
         with np.errstate(over="ignore"), \
                 pytest.raises(ValueError, match="non-finite device voltage: inf"):
             src = SourceWaveform("constant", offset=10.0)

@@ -607,7 +607,8 @@ def test_process_entry_matches_main(tmp_path, capsys, verb, doc, out):
 
 
 # runs the process entry in this child, then prints its exit code, whether
-# the heap was frozen and the voltmem modules loaded
+# the heap was frozen, whether `dataclasses` was imported and the voltmem
+# modules loaded
 _ENTRY_PROBE = """
 import gc, sys
 from voltmem import cli
@@ -615,7 +616,7 @@ try:
     cli.run()
 except SystemExit as e:
     code = e.code
-print(code, gc.get_freeze_count() > 0,
+print(code, gc.get_freeze_count() > 0, "dataclasses" in sys.modules,
       *sorted(m for m in sys.modules if m.startswith("voltmem.")))
 """
 
@@ -636,6 +637,9 @@ def test_each_verb_loads_only_its_modules(tmp_path, verb):
             "--out", "o.csv"]
     proc = subprocess.run([sys.executable, "-c", _ENTRY_PROBE, *argv], env=env,
                           cwd=tmp_path, capture_output=True, text=True)
-    code, frozen, *modules = proc.stdout.splitlines()[-1].split()
+    code, frozen, dataclasses, *modules = proc.stdout.splitlines()[-1].split()
     assert (code, frozen) == ("0", "True"), proc.stderr
     assert modules == VERB_MODULES[verb]
+    # the records are namedtuples; only circuit.Trace, which only iv and
+    # transient load, is a dataclass
+    assert dataclasses == str("voltmem.circuit" in modules)

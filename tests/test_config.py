@@ -106,6 +106,10 @@ def test_resolved_config_header(tmp_path, verb, doc, resolved):
     # swept values get the bound of the key they stand in for
     ("osc-check", '{"sweep": {"param": "r_int", "values": [-5]}}', 2,
      "sweep.values"),
+    # r_coil + r_int = 0: the emulator's own check must reject it before
+    # the derived device divides by that sum
+    ("osc-check", '{"sweep": {"param": "r_int", "values": [-600]}}', 2,
+     "sweep.values"),
     ("osc-check", '{"sweep": {"param": "r1", "values": [-5000]}}', 2,
      "sweep.values"),
     ("osc-check", '{"sweep": {"param": "r1"}}', 2, "sweep.values"),

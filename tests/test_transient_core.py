@@ -9,7 +9,6 @@ oracle's per-sample rows, and a run that fails must fail with the same error.
 
 import io
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ MAX_ROWS = 2500
 def fig2b(source, r1=680.0, **device):
     """(r1, device, source): the README's divider (r_int 220) with the given
     source and device fields."""
-    d = replace(derive_device_params(EmulatorParams(r_int=220.0)), **device)
+    d = derive_device_params(EmulatorParams(r_int=220.0))._replace(**device)
     return r1, d, source
 
 
@@ -91,8 +90,8 @@ def cases(draw):
             kind, amplitude=draw(real), offset=draw(real),
             period=t_end * draw(st.floats(0.02, 3.0)),
             steps=tuple((time, draw(real)) for time in times))
-    d = replace(d, t_actuate=t_actuate,
-                jitter_sigma=draw(st.sampled_from([0.0, 0.0, 0.05, 0.3])))
+    d = d._replace(t_actuate=t_actuate,
+                   jitter_sigma=draw(st.sampled_from([0.0, 0.0, 0.05, 0.3])))
     return r1, d, source, dt, t_end, draw(st.integers(0, 3))
 
 
@@ -171,7 +170,7 @@ def test_small_window_matches_per_sample_oracle(case):
 
 def test_hold_count_is_capped():
     """A delay far longer than the run neither switches nor counts to it."""
-    d = replace(derive_device_params(EmulatorParams()), t_actuate=1.0)
+    d = derive_device_params(EmulatorParams())._replace(t_actuate=1.0)
     t0 = time.perf_counter()
     tr = run_transient(680.0, d, SourceWaveform("constant", offset=8.0),
                        dt=1e-9, t_end=1e-4)
