@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import _CSV_CHUNK_ROWS
-from .device import DeviceParams, ResolutionError, condition_holds
+from .device import DeviceParams, ResolutionError, _Checked, condition_holds
 
 # run_transient's largest scan, its source window (128 kB of float64) and its
 # smallest batch of jitter pairs
@@ -142,11 +142,10 @@ def csv_rows(cols) -> str:
     return text.translate(None, b"\0").decode("ascii")
 
 
-class SourceWaveform(namedtuple("SourceWaveform",
-                                ["kind", "amplitude", "offset", "period", "steps"],
-                                defaults=(0.0, 0.0, 0.0, ()))):
-    """Piecewise-defined applied-voltage signal; checked in __new__ (see
-    device.DeviceParams).
+class SourceWaveform(_Checked, namedtuple("SourceWaveform", [
+        "kind", "amplitude", "offset", "period", "steps"], defaults=(0.0, 0.0, 0.0, ()))):
+    """Piecewise-defined applied-voltage signal; checked on every construction
+    (see device._Checked).
 
     kind: constant | sawtooth | triangle | sine | steps.
     sawtooth ramps offset -> offset+amplitude each period; triangle swings
@@ -158,8 +157,7 @@ class SourceWaveform(namedtuple("SourceWaveform",
     __slots__ = ()
     _KINDS = ("constant", "sawtooth", "triangle", "sine", "steps")
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown waveform kind {self.kind!r}")
         if self.kind in ("sawtooth", "triangle", "sine") and self.period <= 0:
@@ -168,7 +166,6 @@ class SourceWaveform(namedtuple("SourceWaveform",
             times = [t for t, _ in self.steps]
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ValueError("step times must be strictly increasing")
-        return self
 
     def value(self, t):
         """Source voltage at time `t`, a float or an array of times."""
@@ -287,7 +284,7 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
     # so numpy.random is never imported
     rng = np.random.default_rng(seed) if sigma > 0 else None
     drawn, passed = np.empty((0, 2)), 0  # unused pairs, this search's passed-th first
-    window, first = np.empty(min(n, _SCAN_ROWS)), -n  # source at rows first..
+    window, first = np.empty(0), 0  # source at rows first..
 
     def offsets(a, b):  # unused pairs a..b-1, one per step with no switch pending
         nonlocal drawn, passed
@@ -300,11 +297,10 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
         return drawn[a - passed:b - passed, 0], drawn[a - passed:b - passed, 1]
 
     def holds(a, b, d):  # rows a..b-1 at this state, rewritten if it ends first
-        nonlocal first
+        nonlocal window, first
         if b > first + len(window):
-            first, part = a, window[:n - a]
-            part[:] = source.value(np.arange(a, a + len(part)) * dt)
-            bad = ~np.isfinite(part)
+            window, first = source.value(np.arange(a, min(a + _SCAN_ROWS, n)) * dt), a
+            bad = ~np.isfinite(window)
             if bad.any():
                 raise ValueError(f"non-finite source voltage at t={(a + bad.argmax()) * dt}")
         # solve_series_divider's device voltage, without its loop current

@@ -27,8 +27,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import _CSV_CHUNK_ROWS, ConfigError, RunConfig, axis_points
-from .device import (EmulatorParams, ResolutionError, condition_holds,
-                     derive_device_params)
+from .device import ResolutionError, condition_holds, derive_device_params
 
 _MAP_GLYPHS = "0123456789ABCDEF"
 _OSC_GLYPH = "*"
@@ -106,8 +105,7 @@ def run_osc_check(cfg: RunConfig) -> None:
             if cfg.sweep_param == "r1":
                 d, r1 = cfg.device, val
             else:
-                d = derive_device_params(
-                    EmulatorParams(*cfg.emulator._replace(r_int=val)))
+                d = derive_device_params(cfg.emulator._replace(r_int=val))
                 r1 = cfg.r1
             lines.append("%.9g,%.9g,%.9g,%d\n" % (
                 val, onset_voltage(d, r1), instability_lhs(d, r1),

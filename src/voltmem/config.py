@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from collections import namedtuple
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -81,18 +80,13 @@ def _axis(val, where):
 REQUIRED = object()
 
 
-class Key(NamedTuple):
+class Key(namedtuple("Key", ["block", "name", "verbs", "parse", "default", "bound", "field"],
+                     defaults=(REQUIRED, None, ""))):
     """One config key: its block ("" is the top level), name, the verbs that
     take it, parser, default, an optional bound (">" or ">=" a limit, or "in"
     a collection) and the RunConfig field it fills ("" if named like the key)."""
 
-    block: str
-    name: str
-    verbs: tuple[str, ...]
-    parse: Callable
-    default: object = REQUIRED
-    bound: tuple[str, object] | None = None
-    field: str = ""
+    __slots__ = ()
 
     def value(self, val, where=""):
         where = where or ".".join(filter(None, (self.block, self.name)))
@@ -147,13 +141,12 @@ def _waveform(*args, **kwargs):
 
 
 # Each block, and for a block whose keys (in SCHEMA order) build one RunConfig
-# field: (build from the values, back to the values, the keyword arguments
-# that build the field if the block is absent, or None to leave it None)
+# field, a tuple of their values: (build it from the values, the keyword
+# arguments that build it if the block is absent, or None to leave it None)
 _BLOCKS = {
     "": None, "circuit": None, "sweep": None,
-    "source": (_waveform, tuple,
-               dict(kind="sawtooth", amplitude=8.0, period=0.05)),
-    "digitize": (lambda *values: values, tuple, None),
+    "source": (_waveform, dict(kind="sawtooth", amplitude=8.0, period=0.05)),
+    "digitize": (lambda *values: values, None),
 }
 # top-level keys besides those in SCHEMA
 _TOP = ["verb", "emulator", "device", *filter(None, _BLOCKS)]
@@ -191,13 +184,12 @@ def _build(where: str, make, *args, **kwargs):
 
 
 def _params(raw: dict, name: str, base):
-    """An emulator or device block: fields of `base`, values kept as given.
-    The record is rebuilt through its class, whose checks _replace skips."""
+    """An emulator or device block: fields of `base`, values kept as given."""
     block = _block(raw, name)
     _check_keys(block, base._fields, name)
     for key, val in block.items():
         _finite(val, f"{name}.{key}")
-    return _build(name, type(base), *base._replace(**block))
+    return _build(name, base._replace, **block)
 
 
 def axis_size(spec: tuple[float, float, float]) -> int:
@@ -264,7 +256,7 @@ def load_config_dict(raw: dict) -> RunConfig:
         if composite is None:
             resolved.update(values)
         elif keys:
-            build, _, absent = composite
+            build, absent = composite
             if raw.get(name) is not None:
                 resolved[name] = _build(name, build, *values.values())
             elif absent is not None:
@@ -303,7 +295,7 @@ def load_config_dict(raw: dict) -> RunConfig:
             r1.value(val, "sweep.values")
         else:
             _build("sweep.values", lambda: derive_device_params(
-                EmulatorParams(*emulator._replace(r_int=val))))
+                emulator._replace(r_int=val)))
     return cfg
 
 
@@ -317,7 +309,7 @@ def serialize(cfg: RunConfig) -> str:
             values = [getattr(cfg, k.field or k.name) for k in keys]
         else:
             value = getattr(cfg, name) if keys else None
-            values = () if value is None else composite[1](value)
+            values = () if value is None else tuple(value)
         part = {k.name: v for k, v in zip(keys, values) if v is not None}
         if part:
             doc.update({name: part} if name else part)

@@ -17,21 +17,32 @@ class ResolutionError(ValueError):
     """dt too coarse to resolve the device actuation delay."""
 
 
-class DeviceParams(namedtuple("DeviceParams", [
-        "r_on", "r_off", "v_th_pos", "v_hold_pos", "v_th_neg", "v_hold_neg",
-        "t_actuate", "jitter_sigma"], defaults=(0.5e-3, 0.0))):
-    """Electrical parameters of one volatile memristor; t_actuate is in
-    seconds, a reed relay's order of magnitude by default.
-
-    Like every checked record of the package, it checks its fields in
-    __new__, which _replace and _make skip: a changed copy is built through
-    the class, e.g. DeviceParams(*d._replace(r_off=1e3)).
-    """
+class _Checked(tuple):
+    """Base of the records that check their fields: a subclass puts it before
+    its namedtuple and defines _check. Every construction runs the check, as
+    _make builds through the class and _replace builds through _make."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class DeviceParams(_Checked, namedtuple("DeviceParams", [
+        "r_on", "r_off", "v_th_pos", "v_hold_pos", "v_th_neg", "v_hold_neg",
+        "t_actuate", "jitter_sigma"], defaults=(0.5e-3, 0.0))):
+    """Electrical parameters of one volatile memristor; t_actuate is in
+    seconds, a reed relay's order of magnitude by default."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not 0 < self.r_on < self.r_off:
             raise ValueError(f"need 0 < r_on < r_off, got r_on={self.r_on}, r_off={self.r_off}")
         if not 0 < self.v_hold_pos < self.v_th_pos:
@@ -44,24 +55,21 @@ class DeviceParams(namedtuple("DeviceParams", [
             raise ValueError("t_actuate must be >= 0")
         if self.jitter_sigma < 0:
             raise ValueError("jitter_sigma must be >= 0")
-        return self
 
 
-class EmulatorParams(namedtuple("EmulatorParams", [
+class EmulatorParams(_Checked, namedtuple("EmulatorParams", [
         "r_coil", "r_int", "l_coil", "v_pull_in", "v_drop_out"],
         defaults=(600.0, 680.0, 0.17, 2.2, 1.6))):
     """Relay + resistor assembly that emulates one volatile memristor."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         for name, val in zip(self._fields, self):
             if val <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.v_drop_out >= self.v_pull_in:
             raise ValueError("v_drop_out must be below v_pull_in")
-        return self
 
 
 # Conduction state plus the pending-switch accumulator. While a switching

@@ -30,7 +30,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .device import DeviceParams, condition_holds
+from .device import DeviceParams, _Checked, condition_holds
 
 # the code `map` prints in both registers of a cell where any pair cycles
 OSCILLATING_CODE = 255
@@ -48,15 +48,14 @@ INPUT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 INIT_LOW, INIT_HIGH = 0.0, 5.0
 
 
-class LogicCircuit(namedtuple("LogicCircuit", ["m1", "m2", "r_common", "v_hold_level"],
-                              defaults=(220.0, 1.9))):
+class LogicCircuit(_Checked, namedtuple("LogicCircuit", [
+        "m1", "m2", "r_common", "v_hold_level"], defaults=(220.0, 1.9))):
     """The two devices, the common resistor and the hold level V0; checked
-    in __new__ (see DeviceParams)."""
+    on every construction (see device._Checked)."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.r_common <= 0:
             raise ValueError("r_common must be positive")
         for name, d in (("m1", self.m1), ("m2", self.m2)):
@@ -64,15 +63,14 @@ class LogicCircuit(namedtuple("LogicCircuit", ["m1", "m2", "r_common", "v_hold_l
                 raise ValueError(
                     f"v_hold_level={self.v_hold_level} outside bistable window "
                     f"({d.v_hold_pos}, {d.v_th_pos}) of {name}")
-        return self
 
 
 Phase = namedtuple("Phase", ["v1", "v2", "v3", "switch_closed", "duration"])
 
 
-class PhaseProgram(namedtuple("PhaseProgram", ["phases"])):
-    """init -> hold -> calc -> hold schedule, a tuple of Phases; checked in
-    __new__ (see DeviceParams).
+class PhaseProgram(_Checked, namedtuple("PhaseProgram", ["phases"])):
+    """init -> hold -> calc -> hold schedule, a tuple of Phases; checked on
+    every construction (see device._Checked).
 
     The first phase is the initialisation phase: its V1/V2 are overridden per
     input pair with INIT_LOW / INIT_HIGH.
@@ -80,15 +78,13 @@ class PhaseProgram(namedtuple("PhaseProgram", ["phases"])):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if len(self.phases) < 2:
             raise ValueError("program needs at least init and hold phases")
         if any(ph.duration <= 0 for ph in self.phases):
             raise ValueError("phase durations must be positive")
         if not (self.phases[0].switch_closed and self.phases[-1].switch_closed):
             raise ValueError("first and last phases must have the switch closed")
-        return self
 
 
 def canonical_program(v1: float, v2: float, v3: float, v0: float = 1.9,

@@ -1,13 +1,17 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from transient_oracle import device_resistance
+from voltmem.circuit import SourceWaveform
 from voltmem.device import (DeviceParams, DeviceState, EmulatorParams,
                             coil_impedance, derive_device_params, step_device,
                             transition_frequency)
+from voltmem.logic import LogicCircuit, canonical_program
 
 
 def make_device(t_actuate=0.0, jitter=0.0):
@@ -178,3 +182,28 @@ def test_invariant_validation():
     with pytest.raises(ValueError):
         DeviceParams(r_on=300, r_off=600, v_th_pos=2.2, v_hold_pos=1.6,
                      v_th_neg=-1.6, v_hold_neg=-2.2)
+
+
+_PROGRAM = canonical_program(4.0, 1.0, -1.9)
+
+
+@pytest.mark.parametrize("record, field, bad", [
+    (make_device(), "r_on", 700.0),  # above r_off = 600
+    (EmulatorParams(), "r_int", -5.0),
+    (LogicCircuit(make_device(), make_device()), "v_hold_level", 2.5),
+    (_PROGRAM, "phases", tuple(ph._replace(duration=-1.0) for ph in _PROGRAM.phases)),
+    (SourceWaveform("sawtooth", period=0.05), "kind", "squarewave"),
+], ids=lambda x: type(x).__name__ if hasattr(x, "_fields") else None)
+def test_every_construction_checks(record, field, bad):
+    """_replace and _make reject what the constructor rejects; a copy and a
+    pickle round trip of a valid record are equal to it."""
+    fields = [bad if name == field else val
+              for name, val in zip(record._fields, record)]
+    with pytest.raises(ValueError):
+        type(record)(*fields)
+    with pytest.raises(ValueError):
+        record._replace(**{field: bad})
+    with pytest.raises(ValueError):
+        type(record)._make(fields)
+    for same in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert type(same) is type(record) and same == record
