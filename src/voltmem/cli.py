@@ -27,7 +27,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import _CSV_CHUNK_ROWS, ConfigError, RunConfig, axis_points
-from .device import ResolutionError, condition_holds, derive_device_params
+from .device import ResolutionError, condition_holds
 
 _MAP_GLYPHS = "0123456789ABCDEF"
 _OSC_GLYPH = "*"
@@ -101,12 +101,7 @@ def run_osc_check(cfg: RunConfig) -> None:
                  % ("true" if is_unstable(d, cfg.r1) else "false")]
     else:
         lines = ["%s,onset_voltage,instability_lhs,unstable\n" % cfg.sweep_param]
-        for val in cfg.sweep_values:
-            if cfg.sweep_param == "r1":
-                d, r1 = cfg.device, val
-            else:
-                d = derive_device_params(cfg.emulator._replace(r_int=val))
-                r1 = cfg.r1
+        for val, d, r1 in cfg.sweep_rows:
             lines.append("%.9g,%.9g,%.9g,%d\n" % (
                 val, onset_voltage(d, r1), instability_lhs(d, r1),
                 int(is_unstable(d, r1))))
@@ -115,11 +110,9 @@ def run_osc_check(cfg: RunConfig) -> None:
 
 
 def run_gate_verb(cfg: RunConfig) -> None:
-    from .logic import GATE_NAMES, INPUT_PAIRS, LogicCircuit, _table, relax_program
-    circuit = LogicCircuit(m1=cfg.device, m2=cfg.device, r_common=cfg.r_common,
-                           v_hold_level=cfg.v0)
-    m1, m2, cycled = relax_program(circuit)[
-        :, _table(circuit, cfg.v1, cfg.v2, cfg.v3, False)]
+    from .logic import GATE_NAMES, INPUT_PAIRS, _table, relax_program
+    m1, m2, cycled = relax_program(cfg.logic_circuit)[
+        :, _table(cfg.logic_circuit, cfg.v1, cfg.v2, cfg.v3, False)]
     with _output(cfg) as fh:
         fh.write("a,b,m1,m2\n")
         # input pair k = 2a+b is bit k of the code
@@ -153,9 +146,8 @@ def run_map_verb(cfg: RunConfig) -> None:
     of runs of one row's v2 values where that axis alone is longer: a block's
     calc tables and CSV text live only while it is written, and its outcomes
     go into the heatmaps' array, 2 bytes a cell."""
-    from .logic import GATE_NAMES, OSCILLATING_CODE, LogicCircuit, _table, relax_program
-    circuit = LogicCircuit(m1=cfg.device, m2=cfg.device, r_common=cfg.r_common,
-                           v_hold_level=cfg.v0)
+    from .logic import GATE_NAMES, OSCILLATING_CODE, _table, relax_program
+    circuit = cfg.logic_circuit
     v1_axis = axis_points(cfg.v1_axis)
     v2_axis = axis_points(cfg.v2_axis)
     m1, m2, cycled = relax_program(circuit)

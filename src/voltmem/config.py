@@ -5,9 +5,10 @@ sweep. The emulator and device blocks take the fields of EmulatorParams and
 DeviceParams; SCHEMA is the reference for every other key and drives parsing,
 defaults, bounds and serialisation, and with _BLOCKS it defines RunConfig's
 fields. Unknown keys are rejected; defaults are filled in so a loaded config is
-fully resolved and can be echoed verbatim in the run header. The source
-block's SourceWaveform is built only for a verb that takes the block, so only
-that verb's load imports `circuit`.
+fully resolved and can be echoed verbatim in the run header. A model that the
+load builds to check the config is the one its verb runs: the source block's
+SourceWaveform (so only a transient's load imports `circuit`), gate and map's
+LogicCircuit, and an osc-check sweep's (value, device, r1) rows.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ SCHEMA = (
     Key("circuit", "r1", _TR + _OSC, _real, 680.0, (">=", 0)),
     Key("circuit", "dt", _TR, _real, 1e-4, (">", 0)),
     Key("circuit", "t_end", _TR, _real, 0.05, (">", 0)),
-    # r_common and v0 are bounded by LogicCircuit, built at load
+    # r_common and v0 are bounded by LogicCircuit, built and kept at load
     Key("circuit", "r_common", _GM, _real, 220.0),
     Key("circuit", "v0", _GM, _real, 1.9),
     Key("circuit", "v1", ("gate",), _real),
@@ -153,10 +154,12 @@ _TOP = ["verb", "emulator", "device", *filter(None, _BLOCKS)]
 
 _FIELDS = list(dict.fromkeys(k.block if _BLOCKS[k.block] else k.field or k.name
                              for k in SCHEMA))
-RunConfig = namedtuple("RunConfig", ["verb", "emulator", "device", *_FIELDS],
-                       defaults=[None] * len(_FIELDS))
-RunConfig.__doc__ = ("A loaded config, fields in SCHEMA order; those its verb "
-                     "does not take are None.")
+RunConfig = namedtuple("RunConfig", ["verb", "emulator", "device", *_FIELDS,
+                                     "logic_circuit", "sweep_rows"],
+                       defaults=[None] * (len(_FIELDS) + 2))
+RunConfig.__doc__ = ("A loaded config, fields in SCHEMA order, then the LogicCircuit "
+                     "and sweep rows that the load builds; those its verb does not "
+                     "take are None.")
 
 
 def _keys(verb: str, block: str) -> list[Key]:
@@ -274,8 +277,9 @@ def load_config_dict(raw: dict) -> RunConfig:
               f"at most {MAX_ROWS} cells")
     if verb in _GM:
         from .logic import LogicCircuit  # only gate and map load the logic model
-        _build("circuit (r_common, v0)", LogicCircuit, m1=device, m2=device,
-               r_common=cfg.r_common, v_hold_level=cfg.v0)
+        cfg = cfg._replace(logic_circuit=_build(
+            "circuit (r_common, v0)", LogicCircuit, m1=device, m2=device,
+            r_common=cfg.r_common, v_hold_level=cfg.v0))
         _want(cfg.duration >= 10.0 * device.t_actuate, cfg.duration,
               "circuit.duration", f">= 10 * device.t_actuate={device.t_actuate}")
     _want((cfg.sweep_param is None) == (cfg.sweep_values is None),
@@ -288,15 +292,15 @@ def load_config_dict(raw: dict) -> RunConfig:
                   or val == getattr(derived, key), val, f"device.{key}",
                   f"left at its derived value {getattr(derived, key)!r} "
                   "when sweep.param is 'r_int'")
-    # each swept value must pass the check of the key it stands in for
-    for val in cfg.sweep_values or ():
-        if cfg.sweep_param == "r1":
-            r1 = next(k for k in _keys(verb, "circuit") if k.name == "r1")
-            r1.value(val, "sweep.values")
-        else:
-            _build("sweep.values", lambda: derive_device_params(
-                emulator._replace(r_int=val)))
-    return cfg
+    # each swept value must pass the check of the key it stands in for, which
+    # builds the (value, device, r1) row that osc-check runs
+    r1 = next(k for k in SCHEMA if k.name == "r1")
+    rows = tuple((val, device, r1.value(val, "sweep.values"))
+                 if cfg.sweep_param == "r1" else
+                 (val, _build("sweep.values", lambda: derive_device_params(
+                     emulator._replace(r_int=val))), cfg.r1)
+                 for val in cfg.sweep_values or ())
+    return cfg._replace(sweep_rows=rows or None)
 
 
 def serialize(cfg: RunConfig) -> str:

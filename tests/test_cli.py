@@ -18,7 +18,7 @@ from voltmem.circuit import SourceWaveform
 from voltmem.cli import main
 from voltmem.config import (ConfigError, axis_points, header_lines, load_config,
                             serialize)
-from voltmem.device import condition_holds
+from voltmem.device import DeviceParams, condition_holds, derive_device_params
 from voltmem.logic import (INPUT_PAIRS, LogicCircuit, canonical_program,
                            run_gate)
 
@@ -643,3 +643,39 @@ def test_each_verb_loads_only_its_modules(tmp_path, verb):
     # the records are namedtuples; only circuit.Trace, which only iv and
     # transient load, is a dataclass
     assert dataclasses == str("voltmem.circuit" in modules)
+
+
+def test_each_verb_runs_the_model_its_load_built(tmp_path, monkeypatch):
+    """The load keeps the models its checks build, and the verb runs those:
+    a gate run builds one LogicCircuit, and an r_int sweep of k values builds
+    k + 2 DeviceParams (the derived device, the device block, one a value)."""
+    built = {LogicCircuit: 0, DeviceParams: 0}
+    for record in built:
+        def counted(self, record=record, check=record._check):
+            built[record] += 1
+            check(self)
+        monkeypatch.setattr(record, "_check", counted)
+
+    doc = GATE_DOCS["oscillating"]
+    assert main(["gate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "gate.txt")]) == 0
+    assert built[LogicCircuit] == 1
+    cfg = load_config(json.dumps(dict(doc, verb="gate")))
+    assert cfg.logic_circuit == LogicCircuit(m1=cfg.device, m2=cfg.device,
+                                             r_common=cfg.r_common,
+                                             v_hold_level=cfg.v0)
+
+    values = [100.0, 220.0, 680.0, 5000.0]
+    doc = {"emulator": {"r_coil": 500.0}, "circuit": {"r1": 330.0},
+           "sweep": {"param": "r_int", "values": values}}
+    built[DeviceParams] = 0
+    assert main(["osc-check", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "osc.txt")]) == 0
+    assert built[DeviceParams] == len(values) + 2
+    cfg = load_config(json.dumps(dict(doc, verb="osc-check")))
+    assert cfg.sweep_rows == tuple(
+        (v, derive_device_params(cfg.emulator._replace(r_int=v)), 330.0)
+        for v in values)
+    doc["sweep"]["param"] = "r1"
+    cfg = load_config(json.dumps(dict(doc, verb="osc-check")))
+    assert cfg.sweep_rows == tuple((v, cfg.device, v) for v in values)

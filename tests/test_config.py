@@ -99,6 +99,8 @@ def test_resolved_config_header(tmp_path, verb, doc, resolved):
     ("iv", '{"emulator": {"r_int": true}}', 2, "emulator.r_int"),
     ("iv", '{"emulator": {"r_coil": "x"}}', 2, "emulator.r_coil"),
     ("iv", '{"seed": -1}', 2, "seed"),
+    ("iv", '{"device": {"jitter_sigma": -0.1}}', 2, "device: jitter_sigma"),
+    ("iv", '{"emulator": {"v_drop_out": 2.5}}', 2, "emulator: v_drop_out"),
     ("transient", '{"source": []}', 2, "source"),
     # a grid axis must end on its max, not run past it
     ("map", '{"sweep": {"v1": [0, 1, 0.6]}}', 2, "sweep.v1"),

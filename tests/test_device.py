@@ -67,6 +67,10 @@ class TestCoil:
         z = coil_impedance(e, transition_frequency(e))
         assert z == pytest.approx(math.sqrt(2) * e.r_coil, rel=1e-12)
 
+    def test_negative_frequency_rejected(self):
+        with pytest.raises(ValueError, match="freq"):
+            coil_impedance(EmulatorParams(), -1.0)
+
     def test_inductive_regime(self):
         z = coil_impedance(EmulatorParams(), 5617.0)
         assert z == pytest.approx(math.hypot(600, 2 * math.pi * 5617 * 0.17),
@@ -117,6 +121,11 @@ class TestStepDevice:
             step_device(make_device(), DeviceState(False), float("nan"), 1e-4)
         with pytest.raises(ValueError):
             step_device(make_device(), DeviceState(False), float("inf"), 1e-4)
+
+    def test_nonpositive_dt_rejected(self):
+        for dt in (0.0, -1e-4):
+            with pytest.raises(ValueError, match="dt"):
+                step_device(make_device(), DeviceState(False), 2.3, dt)
 
     def test_jitter_requires_rng(self):
         d = make_device(jitter=0.1)
@@ -193,6 +202,8 @@ _PROGRAM = canonical_program(4.0, 1.0, -1.9)
     (LogicCircuit(make_device(), make_device()), "v_hold_level", 2.5),
     (_PROGRAM, "phases", tuple(ph._replace(duration=-1.0) for ph in _PROGRAM.phases)),
     (SourceWaveform("sawtooth", period=0.05), "kind", "squarewave"),
+    (make_device(), "jitter_sigma", -0.1),
+    (EmulatorParams(), "v_drop_out", 2.5),  # above v_pull_in = 2.2
 ], ids=lambda x: type(x).__name__ if hasattr(x, "_fields") else None)
 def test_every_construction_checks(record, field, bad):
     """_replace and _make reject what the constructor rejects; a copy and a

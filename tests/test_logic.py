@@ -149,6 +149,8 @@ class TestSequence:
             assert s == states
 
     def test_program_shape_validation(self):
+        with pytest.raises(ValueError, match="init and hold"):
+            PhaseProgram(phases=(Phase(0, 0, 0, True, 1e-2),))
         with pytest.raises(ValueError):
             PhaseProgram(phases=(Phase(0, 0, 0, False, 1e-2),
                                  Phase(0, 0, 0, True, 1e-2)))

@@ -58,6 +58,10 @@ class TestDetect:
         assert rep.transition_count == 0
         assert rep.frequency_estimate is None and rep.duty_cycle is None
 
+    def test_empty_trace_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            detect_oscillation(square_trace(2, 0, 1e-4))
+
     def test_square_wave_frequency_and_duty(self):
         # 2 ms period on a 0.1 ms grid
         rep = detect_oscillation(square_trace(20, 4000, 1e-4))
