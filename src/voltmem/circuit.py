@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import _CSV_CHUNK_ROWS
-from .device import DeviceParams, ResolutionError, _Checked, condition_holds
+from .device import DeviceParams, ResolutionError, _Checked, condition_holds, jitter_pairs
 
 # run_transient's largest scan, its source window (128 kB of float64) and its
 # smallest batch of jitter pairs
@@ -261,7 +261,7 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
     the condition keeps holding for `hold` samples with that onset's jitter
     offsets, or else resumes one sample after the break. No read starts
     before the last one, so the source is sampled in a forward window, and
-    a search keeps no jitter pair from before its current block.
+    `device.jitter_pairs` keeps no pair from before the current block.
     """
     if r1 < 0:
         raise ValueError("r1 must be >= 0")
@@ -273,28 +273,14 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
 
     n = int(round(t_end / dt)) + 1
     conducting = np.empty(n, dtype=bool)
-    sigma = device.jitter_sigma
     # step_device restarts pending_elapsed from 0.0 at each onset and adds dt
     # per step until it reaches t_actuate; n + 1 steps fit in no run
     hold, elapsed = 1, 0.0 + dt
     while not elapsed >= device.t_actuate and hold <= n:
         hold, elapsed = hold + 1, elapsed + dt
-    # step_device draws an offset pair (two rng.normal calls) per step with no switch
-    # pending; batches give the same stream. Without jitter no generator is made,
-    # so numpy.random is never imported
-    rng = np.random.default_rng(seed) if sigma > 0 else None
-    drawn, passed = np.empty((0, 2)), 0  # unused pairs, this search's passed-th first
+    # the steps before pos drew `used` pairs, one per step with no switch pending
+    pairs, used = jitter_pairs(device, seed, _SCAN_ROWS), 0
     window, first = np.empty(0), 0  # source at rows first..
-
-    def offsets(a, b):  # unused pairs a..b-1, one per step with no switch pending
-        nonlocal drawn, passed
-        if rng is None:
-            return 0.0, 0.0
-        if b - passed > len(drawn):  # draw a scan or more; pairs before a are read no more
-            drawn, passed = drawn[a - passed:], a
-            more = rng.normal(0.0, sigma, size=(max(b - a - len(drawn), _SCAN_ROWS), 2))
-            drawn = np.concatenate([drawn, more])
-        return drawn[a - passed:b - passed, 0], drawn[a - passed:b - passed, 1]
 
     def holds(a, b, d):  # rows a..b-1 at this state, rewritten if it ends first
         nonlocal window, first
@@ -311,11 +297,11 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
 
     state, pos = False, 0
     while pos < n:
-        onset = _first(lambda a, b: holds(a, b, offsets(a - pos, b - pos)), pos, n)
+        onset = _first(lambda a, b: holds(a, b, pairs(used + a - pos, used + b - pos)), pos, n)
         if onset == n:
             break
-        d = offsets(onset - pos, onset - pos + 1)
-        drawn, passed = drawn[onset - pos + 1 - passed:], 0
+        used += onset - pos + 1
+        d = pairs(used - 1, used)
         end = min(onset + hold, n)
         broke = _first(lambda a, b: ~holds(a, b, d), onset + 1, end)
         if broke < end:

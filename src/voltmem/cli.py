@@ -27,7 +27,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import _CSV_CHUNK_ROWS, ConfigError, RunConfig, axis_points
-from .device import ResolutionError, condition_holds
+from .device import ResolutionError, condition_holds, jitter_pairs
 
 _MAP_GLYPHS = "0123456789ABCDEF"
 _OSC_GLYPH = "*"
@@ -61,16 +61,15 @@ def run_iv_sweep(cfg: RunConfig) -> None:
     With jitter, every point draws a fresh pair of threshold offsets.
     """
     from .circuit import SourceWaveform, csv_rows
-    d, sigma = cfg.device, cfg.device.jitter_sigma
-    rng = np.random.default_rng(cfg.seed) if sigma > 0 else None
-    n = cfg.iv_points
+    d, n = cfg.device, cfg.iv_points
+    pairs = jitter_pairs(d, cfg.seed, _CSV_CHUNK_ROWS)
     sweep = SourceWaveform("triangle", amplitude=cfg.iv_amplitude, period=1.0)
     on = False  # the state at the end of the chunks written so far
     with _output(cfg) as fh:
         fh.write("v,i,conducting\n")
         for start in range(0, n, _CSV_CHUNK_ROWS):
             v = sweep.value(np.arange(start, min(start + _CSV_CHUNK_ROWS, n)) / (n - 1))
-            offsets = (0.0, 0.0) if rng is None else rng.normal(0.0, sigma, (len(v), 2)).T
+            offsets = pairs(start, start + len(v))
             # where the condition of one state holds and the other's does not,
             # the point sets the state; where both hold, it toggles the previous one
             up, down = (condition_holds(d, state, v, offsets) for state in (False, True))

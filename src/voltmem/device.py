@@ -121,6 +121,29 @@ def condition_holds(p: DeviceParams, conducting: bool, v, offsets):
     return (v > (p.v_th_pos + d1)) | (v < (p.v_th_neg + d2))
 
 
+def jitter_pairs(p: DeviceParams, seed: int, batch: int):
+    """pairs(a, b): the threshold offsets (d1, d2) of pairs a..b-1 of one
+    forward read, as two column arrays: pair k is step_device's k-th pair of
+    rng.normal draws from a generator seeded with `seed`. A read starts at or
+    after the last one's start and skips no pair. Draws `batch` or more pairs
+    at a time and keeps none before a. Without jitter every read is
+    (0.0, 0.0) and no generator is made, so numpy.random is never loaded."""
+    if p.jitter_sigma == 0:
+        return lambda a, b: (0.0, 0.0)
+    import numpy as np
+    # the pairs kept, pair `first` first
+    rng, drawn, first = np.random.default_rng(seed), np.empty((0, 2)), 0
+
+    def pairs(a, b):
+        nonlocal drawn, first
+        if b > first + len(drawn):
+            more = rng.normal(0.0, p.jitter_sigma, (max(b - first - len(drawn), batch), 2))
+            drawn, first = np.concatenate([drawn[a - first:], more]), a
+        return drawn[a - first:b - first, 0], drawn[a - first:b - first, 1]
+
+    return pairs
+
+
 def step_device(p: DeviceParams, s: DeviceState, v_device: float, dt: float,
                 rng=None) -> DeviceState:
     """Advance the device state by one time step at the given device voltage.

@@ -4,13 +4,14 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from peak_memory import traced_peak
 from transient_oracle import device_resistance
 from voltmem.circuit import SourceWaveform
 from voltmem.device import (DeviceParams, DeviceState, EmulatorParams,
-                            coil_impedance, derive_device_params, step_device,
-                            transition_frequency)
+                            coil_impedance, derive_device_params, jitter_pairs,
+                            step_device, transition_frequency)
 from voltmem.logic import LogicCircuit, canonical_program
 
 
@@ -171,6 +172,37 @@ class TestStepDevice:
             s = nxt
         assert len(flips_down) == 1
         assert flips_down[0] == pytest.approx(1.59, abs=1e-9)  # first sample < 1.6
+
+
+# reads as the onset search makes them: each starts at or after the last
+# one's start (a search restarts at its onset pair) and skips no pair
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), sigma=st.sampled_from([0.0, 0.05, 1.0]),
+       batch=st.integers(1, 100),
+       reads=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 150)), max_size=25))
+def test_jitter_pairs_read_step_device_draws(seed, sigma, batch, reads):
+    pairs = jitter_pairs(make_device(jitter=sigma), seed, batch)
+    rng = np.random.default_rng(seed)
+    want = [(rng.normal(0.0, sigma), rng.normal(0.0, sigma)) for _ in range(25 * 150)]
+    start = end = 0
+    for back, size in reads:
+        start += int(back * (end - start))  # anywhere from the last start to the end
+        d1, d2 = pairs(start, start + size)
+        if sigma == 0:
+            assert (d1, d2) == (0.0, 0.0)
+        else:
+            assert list(zip(d1.tolist(), d2.tolist())) == want[start:start + size]
+        end = max(end, start + size)
+
+
+def test_jitter_pairs_keep_no_passed_pair():
+    """2M pairs read in 64-pair blocks hold about one batch at a time."""
+    def read(pairs, n):
+        for a in range(0, n, 64):
+            pairs(a, a + 64)
+
+    _, peak = traced_peak(read, jitter_pairs(make_device(jitter=0.05), 7, 2**14), 2_000_000)
+    assert peak < 1 << 20, peak
 
 
 def test_device_resistance():
