@@ -1,11 +1,16 @@
 """Series resistor + volatile memristor circuit, solved quasi-statically.
 
 The electrical network is purely resistive; the only dynamics is the device
-actuation delay, stepped on a fixed time grid. The run reads its source
-through one 2**14-sample window, and its Trace stores what it decides,
-the conduction state; every other column is formed per CSV chunk of 2048
-rows. csv_rows, the row writer of traces and of `iv`, formats a chunk's
-distinct float columns in one numpy pass, as exactly Python's "%.9g" text.
+actuation delay, stepped on a fixed time grid. How a device follows its
+switching condition is decided here for both verbs that run one:
+run_transient loops once per switching onset, behind r1 and with the delay;
+iv_sweep scans a chunk at a time, straight across the device with no delay,
+on the transient's grid at dt = 1. At r1 = 0 the device sees the source
+exactly. run_transient reads its source through one 2**14-sample window,
+and its Trace stores what it decides, the conduction state; every other
+column is formed per CSV chunk of 2048 rows. csv_rows, the row writer of
+traces and of `iv`, formats a chunk's distinct float columns in one numpy
+pass, as exactly Python's "%.9g" text.
 
 Only the `iv` and `transient` verbs load this module; ResolutionError, which
 run_transient raises, is defined in `device` and re-exported here.
@@ -228,11 +233,13 @@ class Trace:
 
 
 def solve_series_divider(r1: float, r_m: float, v):
-    """Device voltage and loop current of the series divider; r_m and v may be row arrays."""
+    """Device voltage and loop current of the series divider; r_m and v may be
+    row arrays. At r1 = 0 the device voltage is v itself, not v * r_m / r_m,
+    which can be one ulp off v."""
     total = r1 + r_m
     if np.any(total <= 0):
         raise ValueError("r1 + r_m must be positive")
-    return v * r_m / total, v / total
+    return (v * r_m / total if r1 else v), v / total
 
 
 def _first(mask, lo: int, hi: int) -> int:
@@ -291,7 +298,8 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
                 raise ValueError(f"non-finite source voltage at t={(a + bad.argmax()) * dt}")
         # solve_series_divider's device voltage, without its loop current
         r_m = device.r_on if state else device.r_off
-        v_m = window[a - first:b - first] * r_m / (r1 + r_m)
+        v_m = window[a - first:b - first]
+        v_m = v_m * r_m / (r1 + r_m) if r1 else v_m
         conducting[a:b] = state
         return condition_holds(device, state, v_m, d)
 
@@ -310,3 +318,30 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
             state, pos = not state, end
 
     return Trace(dt=dt, conducting=conducting)
+
+
+def iv_sweep(device: DeviceParams, amplitude: float, points: int, seed: int):
+    """Quasi-static triangle sweep of `amplitude` straight across `device`,
+    from OFF: yields each chunk's (v, i, conducting), _CSV_CHUNK_ROWS points
+    at a time. Point k is the triangle at time k of period points - 1; its
+    row holds the state after it and the current in that state.
+
+    The device switches at the first point where its condition holds, with no
+    actuation delay, so the trace depends only on voltage, not on sweep rate.
+    With jitter, every point draws a fresh pair of threshold offsets. This is
+    run_transient at r1 = 0, t_actuate = 0 and dt = 1, one row earlier.
+    """
+    pairs = jitter_pairs(device, seed, _CSV_CHUNK_ROWS)
+    sweep = SourceWaveform("triangle", amplitude=amplitude, period=points - 1.0)
+    on = False  # the state at the end of the chunks yielded so far
+    for start in range(0, points, _CSV_CHUNK_ROWS):
+        v = sweep.value(np.arange(start, min(start + _CSV_CHUNK_ROWS, points)))
+        offsets = pairs(start, start + len(v))
+        # where the condition of one state holds and the other's does not,
+        # the point sets the state; where both hold, it toggles the previous one
+        up, down = (condition_holds(device, state, v, offsets) for state in (False, True))
+        toggled = np.logical_xor.accumulate(up & down)
+        last = np.maximum.accumulate(np.where(up != down, np.arange(len(v)), -1))
+        conducting = np.where(last >= 0, up[last] ^ toggled[last], on) ^ toggled
+        on = conducting[-1]
+        yield v, v / np.where(conducting, device.r_on, device.r_off), conducting

@@ -9,8 +9,9 @@ longer than _CSV_CHUNK_ROWS, a run of at most that many of one row's v2
 values); the other verbs solve first, then write.
 
 A verb imports the modules it runs when it runs: `circuit` for iv and
-transient, `logic` for gate and map, `oscillation` for osc-check. So this
-module takes ResolutionError from `device` and _CSV_CHUNK_ROWS from `config`.
+transient, `logic` for gate and map, `oscillation` for osc-check. This module
+holds no device model: it writes what those return. So it takes
+ResolutionError from `device` and _CSV_CHUNK_ROWS from `config`.
 The process entry is `run`; `main` is for callers in a running interpreter.
 """
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import _CSV_CHUNK_ROWS, ConfigError, RunConfig, axis_points
-from .device import ResolutionError, condition_holds, jitter_pairs
+from .device import ResolutionError
 
 _MAP_GLYPHS = "0123456789ABCDEF"
 _OSC_GLYPH = "*"
@@ -54,31 +55,12 @@ def _output(cfg: RunConfig):
 
 
 def run_iv_sweep(cfg: RunConfig) -> None:
-    """Quasi-static triangle sweep straight across one device: v,i,conducting.
-
-    The device switches at the first point where its condition holds, with no
-    actuation delay, so the trace depends only on voltage, not on sweep rate.
-    With jitter, every point draws a fresh pair of threshold offsets.
-    """
-    from .circuit import SourceWaveform, csv_rows
-    d, n = cfg.device, cfg.iv_points
-    pairs = jitter_pairs(d, cfg.seed, _CSV_CHUNK_ROWS)
-    sweep = SourceWaveform("triangle", amplitude=cfg.iv_amplitude, period=1.0)
-    on = False  # the state at the end of the chunks written so far
+    """The `iv` verb: circuit.iv_sweep's chunks as v,i,conducting rows."""
+    from .circuit import csv_rows, iv_sweep
     with _output(cfg) as fh:
         fh.write("v,i,conducting\n")
-        for start in range(0, n, _CSV_CHUNK_ROWS):
-            v = sweep.value(np.arange(start, min(start + _CSV_CHUNK_ROWS, n)) / (n - 1))
-            offsets = pairs(start, start + len(v))
-            # where the condition of one state holds and the other's does not,
-            # the point sets the state; where both hold, it toggles the previous one
-            up, down = (condition_holds(d, state, v, offsets) for state in (False, True))
-            toggled = np.logical_xor.accumulate(up & down)
-            last = np.maximum.accumulate(np.where(up != down, np.arange(len(v)), -1))
-            conducting = np.where(last >= 0, up[last] ^ toggled[last], on) ^ toggled
-            on = conducting[-1]
-            i = v / np.where(conducting, d.r_on, d.r_off)
-            fh.write(csv_rows([v, i, conducting]))
+        for cols in iv_sweep(cfg.device, cfg.iv_amplitude, cfg.iv_points, cfg.seed):
+            fh.write(csv_rows(cols))
 
 
 def run_transient_verb(cfg: RunConfig) -> None:

@@ -5,6 +5,8 @@
 per sample. For every circuit, grid and seed the two records must be equal
 bit for bit, the rows `Trace.to_csv` solves from the record must be the
 oracle's per-sample rows, and a run that fails must fail with the same error.
+`circuit.iv_sweep`, the cumulative scans of `iv`, must give the core's states
+at r1 = 0 with no actuation delay.
 """
 
 import io
@@ -188,3 +190,39 @@ def test_run_transient_peak_memory_on_the_sweep():
                               cfg.dt, cfg.t_end)
     assert len(trace) == 200001
     assert peak < 1_500_000
+
+
+# pull-in levels of the swept devices; at r_coil 3, v * 3 / 3 is one ulp
+# above v = 1.6, so a sweep to 1.6 switched the core unless r1 = 0 gives v itself
+PULL_INS = (0.8, 1.6, 2.2)
+
+
+@st.composite
+def iv_sweeps(draw):
+    """(device, amplitude, points, seed): an emulator with any of these coils
+    and thresholds, swept to one of its thresholds or anywhere around them."""
+    pull_in = draw(st.sampled_from(PULL_INS))
+    e = EmulatorParams(r_coil=draw(st.sampled_from([3, 7, 123, 600, 1000])),
+                       r_int=draw(st.sampled_from([9, 220, 680])),
+                       v_pull_in=pull_in, v_drop_out=pull_in * draw(st.sampled_from([0.5, 0.625])))
+    d = derive_device_params(e)._replace(
+        jitter_sigma=draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])))
+    thresholds = [*PULL_INS, e.v_drop_out]
+    amplitude = draw(st.sampled_from(thresholds + [-a for a in thresholds])
+                     | st.floats(-5.0, 5.0))
+    return d, amplitude, draw(st.integers(3, 3000)), draw(st.integers(0, 2**32))
+
+
+# iv_sweep, the scans that `iv` writes, is the transient core at r1 = 0,
+# t_actuate = 0 and dt = 1 on the triangle of period points - 1: the core
+# records the state in effect at a row, iv_sweep the state after its point
+@settings(max_examples=60, deadline=None)
+@given(sweep=iv_sweeps())
+@example(sweep=(derive_device_params(EmulatorParams(r_coil=3, r_int=9, v_pull_in=1.6,
+                                                    v_drop_out=1.0)), 1.6, 2001, 0))
+def test_iv_sweep_is_the_transient_core_at_r1_zero(sweep):
+    d, amplitude, n, seed = sweep
+    got = np.concatenate([on for _, _, on in circuit.iv_sweep(d, amplitude, n, seed)])
+    source = SourceWaveform("triangle", amplitude=amplitude, period=n - 1.0)
+    want = run_transient(0.0, d._replace(t_actuate=0.0), source, 1.0, float(n), seed)
+    np.testing.assert_array_equal(got, want.conducting[1:])
