@@ -232,14 +232,20 @@ class Trace:
             fh.write(csv_rows(cols))
 
 
+def device_voltage(r1: float, r_m, v):
+    """The device's share of `v` across the series divider; r_m and v may be
+    row arrays. At r1 = 0 it is v itself, not v * r_m / r_m, which can be one
+    ulp off v."""
+    return v * r_m / (r1 + r_m) if r1 else v
+
+
 def solve_series_divider(r1: float, r_m: float, v):
-    """Device voltage and loop current of the series divider; r_m and v may be
-    row arrays. At r1 = 0 the device voltage is v itself, not v * r_m / r_m,
-    which can be one ulp off v."""
+    """Device voltage (device_voltage) and loop current of the series
+    divider; r_m and v may be row arrays."""
     total = r1 + r_m
     if np.any(total <= 0):
         raise ValueError("r1 + r_m must be positive")
-    return (v * r_m / total if r1 else v), v / total
+    return device_voltage(r1, r_m, v), v / total
 
 
 def _first(mask, lo: int, hi: int) -> int:
@@ -296,10 +302,9 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
             bad = ~np.isfinite(window)
             if bad.any():
                 raise ValueError(f"non-finite source voltage at t={(a + bad.argmax()) * dt}")
-        # solve_series_divider's device voltage, without its loop current
+        # the device voltage alone: no loop current is formed
         r_m = device.r_on if state else device.r_off
-        v_m = window[a - first:b - first]
-        v_m = v_m * r_m / (r1 + r_m) if r1 else v_m
+        v_m = device_voltage(r1, r_m, window[a - first:b - first])
         conducting[a:b] = state
         return condition_holds(device, state, v_m, d)
 

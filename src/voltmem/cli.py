@@ -3,15 +3,14 @@
 Every verb writes CSV (or plain text for gate/osc-check) to one output sink
 prefixed with a reproducibility header: the fully resolved configuration
 plus the seed as `#` comment lines. Identical config + seed gives
-byte-identical output. `iv` and `map` write each chunk as soon as they
-compute it (a `map` chunk is whole v1 rows, or where the v2 axis alone is
-longer than _CSV_CHUNK_ROWS, a run of at most that many of one row's v2
-values); the other verbs solve first, then write.
+byte-identical output. `iv` and `map` write each chunk as soon as their
+generator yields it (`circuit.iv_sweep`'s points, `logic.gate_map`'s blocks
+of cells); the other verbs solve first, then write.
 
 A verb imports the modules it runs when it runs: `circuit` for iv and
 transient, `logic` for gate and map, `oscillation` for osc-check. This module
-holds no device model: it writes what those return. So it takes
-ResolutionError from `device` and _CSV_CHUNK_ROWS from `config`.
+holds no device model and runs no kernel: it writes what those return. So it
+takes ResolutionError from `device` and _CSV_CHUNK_ROWS from `config`.
 The process entry is `run`; `main` is for callers in a running interpreter.
 """
 
@@ -22,7 +21,6 @@ import gc
 import os
 import sys
 from contextlib import contextmanager
-from itertools import product
 
 import numpy as np
 
@@ -91,9 +89,8 @@ def run_osc_check(cfg: RunConfig) -> None:
 
 
 def run_gate_verb(cfg: RunConfig) -> None:
-    from .logic import GATE_NAMES, INPUT_PAIRS, _table, relax_program
-    m1, m2, cycled = relax_program(cfg.logic_circuit)[
-        :, _table(cfg.logic_circuit, cfg.v1, cfg.v2, cfg.v3, False)]
+    from .logic import GATE_NAMES, INPUT_PAIRS, gate_codes
+    m1, m2, cycled = gate_codes(cfg.logic_circuit, cfg.v1, cfg.v2, cfg.v3)
     with _output(cfg) as fh:
         fh.write("a,b,m1,m2\n")
         # input pair k = 2a+b is bit k of the code
@@ -123,18 +120,12 @@ def _axis_table(axis: np.ndarray) -> np.ndarray:
 
 def run_map_verb(cfg: RunConfig) -> None:
     """The (V1, V2) gate-map sweep: CSV to the output sink, heatmaps to stdout.
-    It runs in blocks of whole v1 rows, about _CSV_CHUNK_ROWS cells each, or
-    of runs of one row's v2 values where that axis alone is longer: a block's
-    calc tables and CSV text live only while it is written, and its outcomes
-    go into the heatmaps' array, 2 bytes a cell."""
-    from .logic import GATE_NAMES, OSCILLATING_CODE, _table, relax_program
-    circuit = cfg.logic_circuit
+    It writes each block of logic.gate_map's outcomes as it is yielded: a
+    block's CSV text lives only while it is written, and its outcomes go into
+    the heatmaps' array, 2 bytes a cell."""
+    from .logic import GATE_NAMES, OSCILLATING_CODE, gate_map
     v1_axis = axis_points(cfg.v1_axis)
     v2_axis = axis_points(cfg.v2_axis)
-    m1, m2, cycled = relax_program(circuit)
-    # each calc table's outcome: code_m1 * 16 + code_m2, or 256 where any
-    # input pair cycled
-    outcome = np.where(cycled > 0, 256, m1.astype(np.uint16) * 16 + m2)
     heads, cols = _axis_table(v1_axis), _axis_table(v2_axis)
     suffixes = _byte_table(
         ["%d,%s,%d,%s,0\n" % (c1, GATE_NAMES[c1], c2, GATE_NAMES[c2])
@@ -144,14 +135,10 @@ def run_map_verb(cfg: RunConfig) -> None:
     # outcome 257 ends a row
     rows = np.full((len(v2_axis), len(v1_axis) + 1), 257, dtype=np.uint16)
     cell_outcomes = rows[::-1, :-1].T  # a view indexed [v1, v2]
-    block = max(1, _CSV_CHUNK_ROWS // len(v2_axis))  # v1 rows
-    run = min(len(v2_axis), _CSV_CHUNK_ROWS)  # v2 values
     with _output(cfg) as fh:
         fh.write("# grid = %dx%d\n" % (len(v1_axis), len(v2_axis)))
         fh.write("v1,v2,code_m1,label_m1,code_m2,label_m2,oscillated\n")
-        for i, j in product(range(0, len(v1_axis), block), range(0, len(v2_axis), run)):
-            at = slice(i, i + block), slice(j, j + run)
-            ends = outcome[_table(circuit, v1_axis[at[0], None], v2_axis[at[1]], cfg.v3, False)]
+        for at, ends in gate_map(cfg.logic_circuit, v1_axis, v2_axis, cfg.v3):
             cell_outcomes[at] = ends
             parts = heads[at[0], None], cols[at[1]], suffixes.take(ends, axis=0)
             cells = np.concatenate([np.broadcast_to(p, ends.shape + p.shape[-1:])

@@ -15,9 +15,11 @@ transition table (_table) from OFF, then all 256 possible tables from its
 four states, and packs their outcomes into three 0-15 codes per table (input
 pair (a, b) at bit 2a+b): M1's and M2's gate codes and the cycled pairs. It
 runs once per circuit, with 4 solve_node calls. Then each block of points
-builds its calc table with 4 more and gathers the codes by it: `gate` at its
-one (v1, v2) point, `map` per block of whole v1 rows. Both holds are the
-identity and are skipped, and no phase duration is read. The scalar chain
+builds its calc table with 4 more and gathers the codes by it. The verbs
+run the kernel through two entry points: gate_codes at `gate`'s one
+(v1, v2) point, and gate_map, which yields `map`'s outcomes block by block
+on the grid's one partition. Both holds are the identity and are skipped,
+and no phase duration is read. The scalar chain
 _threshold_update -> relax_phase -> run_sequence -> run_gate is its oracle in
 the tests and in perfbench/, which wraps run_gate and solve_node.
 """
@@ -30,6 +32,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .config import _CSV_CHUNK_ROWS
 from .device import DeviceParams, _Checked, condition_holds
 
 # the code `map` prints in both registers of a cell where any pair cycles
@@ -218,8 +221,7 @@ def relax_program(c: LogicCircuit) -> np.ndarray:
     """The canonical program's outcome under each of the 256 possible calc
     tables: a (3, 256) uint8 array of M1's and M2's gate codes and the cycled
     mask, whose bit k holds run_sequence's s1, s2 and oscillated for input
-    pair k = 2a+b. Points gather their codes by their calc table,
-    relax_program(c)[:, _table(c, v1, v2, v3, False)].
+    pair k = 2a+b.
     LogicCircuit keeps v_hold_pos < v0 < v_th_pos, so no switching condition
     holds in either hold phase and both are skipped. The init walk, from
     OFF under the closed switch, never cycles (tests assert it), so the
@@ -231,3 +233,28 @@ def relax_program(c: LogicCircuit) -> np.ndarray:
     final, cycled = _walk(np.arange(256, dtype=np.uint8)[:, None], state)
     return np.packbits([final >= 2, final & 1, cycled], axis=-1,
                        bitorder="little")[..., 0]
+
+
+def gate_codes(c: LogicCircuit, v1, v2, v3: float) -> np.ndarray:
+    """M1's and M2's gate codes and the cycled mask at the calc phase's
+    (v1, v2, v3), as relax_program packs them: points gather their codes by
+    their calc table, relax_program(c)[:, _table(c, v1, v2, v3, False)]."""
+    return relax_program(c)[:, _table(c, v1, v2, v3, False)]
+
+
+def gate_map(c: LogicCircuit, v1_axis: np.ndarray, v2_axis: np.ndarray, v3: float):
+    """The (V1, V2) map, one block at a time: yields (index, outcomes), where
+    index is the block's (v1, v2) pair of slices into the grid and outcomes
+    its uint16 array of code_m1 * 16 + code_m2, or 256 where any input pair
+    cycled. A block is whole v1 rows of at most _CSV_CHUNK_ROWS cells, or
+    where the v2 axis alone is longer, a run of at most that many of one
+    row's v2 values, so that only one block's calc table is held at a time.
+    relax_program runs once, with 4 solve_node calls, and each block's table
+    with 4 more."""
+    m1, m2, cycled = relax_program(c)
+    outcome = np.where(cycled > 0, 256, m1.astype(np.uint16) * 16 + m2)
+    block = max(1, _CSV_CHUNK_ROWS // len(v2_axis))  # v1 rows
+    run = min(len(v2_axis), _CSV_CHUNK_ROWS)  # v2 values
+    for i, j in itertools.product(range(0, len(v1_axis), block), range(0, len(v2_axis), run)):
+        at = slice(i, i + block), slice(j, j + run)
+        yield at, outcome[_table(c, v1_axis[at[0], None], v2_axis[at[1]], v3, False)]

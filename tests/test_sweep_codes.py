@@ -1,20 +1,22 @@
 """The array relaxation kernel against the scalar oracle, state by state
-and code by code, and the map verb's CSV and heatmap bytes against text
-built from the oracle."""
+and code by code, gate_map's blocks and outcomes against it cell by cell,
+and the map verb's CSV and heatmap bytes against text built from it."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import voltmem.cli
+import voltmem.logic
 from voltmem.cli import main
 from voltmem.config import axis_points, header_lines, load_config
 from voltmem.device import DeviceParams, EmulatorParams, derive_device_params
 from voltmem.logic import (INIT_HIGH, INIT_LOW, INPUT_PAIRS, LogicCircuit,
-                           _table, _walk, canonical_program, relax_program,
-                           run_sequence)
+                           _table, _walk, canonical_program, gate_map,
+                           relax_program, run_sequence)
 
 from logic_oracle import sweep_grid
 from peak_memory import traced_peak
@@ -229,4 +231,71 @@ def test_map_verb_bytes_match_oracle_text(tmp_path, capsys):
 def test_map_verb_bytes_match_oracle_text_in_blocks(tmp_path, capsys,
                                                     monkeypatch, chunk):
     monkeypatch.setattr(voltmem.cli, "_CSV_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(voltmem.logic, "_CSV_CHUNK_ROWS", chunk)
     test_map_verb_bytes_match_oracle_text(tmp_path, capsys)
+
+
+@st.composite
+def decimal_axes(draw):
+    """A config axis of 1 to 12 decimal values, [lo, hi, step] in tenths,
+    realized as `map` realizes it."""
+    lo, step = draw(st.integers(-60, 60)) / 10, draw(st.integers(1, 10)) / 10
+    return axis_points((lo, lo + step * draw(st.integers(0, 11)), step))
+
+
+def _run_gate_map(c, v1s, v2s, v3):
+    """gate_map's blocks, listed, and the solve_node calls they took."""
+    calls, solve_node = [], voltmem.logic.solve_node
+
+    def counted(*args):
+        calls.append(args)
+        return solve_node(*args)
+
+    with mock.patch.object(voltmem.logic, "solve_node", counted):
+        return list(gate_map(c, v1s, v2s, v3)), len(calls)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(c=circuits(), v3=st.integers(-60, 60).map(lambda k: k / 10),
+       v1s=decimal_axes(), v2s=decimal_axes(),
+       chunk=st.sampled_from([1, 7, 16, 64, 4096]))
+def test_gate_map_blocks_match_scalar_oracle(c, v3, v1s, v2s, chunk):
+    """Each yielded outcome is the scalar chain's at its cell: 256 where any
+    input pair oscillated, else 16 * code_m1 + code_m2. The blocks tile the
+    grid once: whole v1 rows of at most `chunk` cells, or where the v2 axis
+    alone is longer, runs of at most `chunk` of one row's v2 values, as few
+    as fit. relax_program takes 4 solve_node calls and each block 4 more."""
+    with mock.patch.object(voltmem.logic, "_CSV_CHUNK_ROWS", chunk):
+        blocks, solves = _run_gate_map(c, v1s, v2s, v3)
+    n1, n2 = len(v1s), len(v2s)
+    want = np.array([[256 if res.oscillated else 16 * res.code_m1 + res.code_m2
+                      for res in row] for row in sweep_grid(c, v3, v1s, v2s)])
+    got = np.full((n1, n2), -1)
+    covered = np.zeros((n1, n2), dtype=int)
+    for at, outcomes in blocks:
+        rows, cols = range(n1)[at[0]], range(n2)[at[1]]
+        assert outcomes.dtype == np.uint16
+        assert outcomes.shape == (len(rows), len(cols)), at
+        assert outcomes.size <= chunk and (len(cols) == n2 or len(rows) == 1), at
+        got[at] = outcomes
+        covered[at] += 1
+    assert np.all(covered == 1)
+    np.testing.assert_array_equal(got, want)
+    rows_per_block = chunk // n2
+    assert len(blocks) == (-(-n1 // rows_per_block) if rows_per_block
+                           else n1 * -(-n2 // chunk))
+    assert solves == 4 + 4 * len(blocks)
+
+
+def test_gate_map_cuts_map_mixed_into_32_blocks():
+    """CI's trace step pins logic.node_solves at 132 on the benchmark's
+    map-mixed: its 351x351 grid, at the default 4096 cells a block, is 32
+    blocks of 11 v1 rows (the last of 10), each with 4 solve_node calls,
+    after relax_program's 4."""
+    d = derive_device_params(EmulatorParams(r_int=220))
+    axis = axis_points((-1.0, 6.0, 0.02))
+    blocks, solves = _run_gate_map(LogicCircuit(m1=d, m2=d, r_common=1000.0),
+                                   axis, axis, -1.9)
+    assert [len(range(351)[at[0]]) for at, _ in blocks] == [11] * 31 + [10]
+    assert (len(blocks), solves) == (32, 132)
