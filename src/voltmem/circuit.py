@@ -6,11 +6,23 @@ switching condition is decided here for both verbs that run one:
 run_transient loops once per switching onset, behind r1 and with the delay;
 iv_sweep scans a chunk at a time, straight across the device with no delay,
 on the transient's grid at dt = 1. At r1 = 0 the device sees the source
-exactly. run_transient reads its source through one 2**14-sample window,
-and its Trace stores what it decides, the conduction state; every other
-column is formed per CSV chunk of 2048 rows. csv_rows, the row writer of
-traces and of `iv`, formats a chunk's distinct float columns in one numpy
-pass, as exactly Python's "%.9g" text.
+exactly.
+
+A source is sampled by integer sample index k and step dt, never by a
+float time (SourceWaveform.value). A periodic source's phase is
+(k * dt_i mod period_i) / period_i in integers, dt_i and period_i being
+repr(dt) and repr(period) scaled by one power of ten, so each period
+repeats the same doubles and a sample on a period boundary is at phase 0;
+where those integers do not fit 2**53, the phase is frac(k * dt / period)
+in doubles. run_transient reads its source through one 2**14-sample
+window, and its Trace stores what it decides, the conduction state; every
+other column is formed per CSV chunk of 2048 rows. Everything after `t`
+in a row depends only on the row's source level (the phase index, the
+step in effect, or 0 for constant) and state. So where 2 * levels is fewer
+than the trace's rows and fits _TABLE_BYTES, Trace.to_csv formats that
+(level, state) table once through csv_rows and gathers each row's text
+from it, formatting only `t` per row; every other source is formatted per
+row by csv_rows (module `rows`).
 
 Only the `iv` and `transient` verbs load this module; ResolutionError, which
 run_transient raises, is defined in `device` and re-exported here.
@@ -18,7 +30,7 @@ run_transient raises, is defined in `device` and re-exported here.
 
 from __future__ import annotations
 
-import functools
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -30,121 +42,39 @@ from .device import DeviceParams, ResolutionError, _Checked, condition_holds, ji
 # run_transient's largest scan, its source window (128 kB of float64) and its
 # smallest batch of jitter pairs
 _SCAN_ROWS = 1 << 14
+# Trace.to_csv's largest (source level, state) table of row suffixes, at the
+# widest text each row could take
+_TABLE_BYTES = 1 << 20
+_TABLE_LEVELS = 256  # levels formatted per csv_rows call as the table is built
 
 
-@functools.cache
-def _tables():
-    """_g9's lookup tables, built on its first call, so that verbs that write
-    no CSV rows neither build them nor touch their memory. Indexed by layout
-    code c (see _g9): `prefixes` by 2c + negative, `keeps` (bytes kept of the
-    two digit words) by 10c + significant digits, `tails` by 10c + digit 8.
-    `significant` and `shown4` are indexed by a 4-digit group k: the count of
-    significant digits of "%04d" % k, and 4 more than that (0 for k = 0)."""
-    # a freed 1 MB block lifts glibc's dynamic mmap and trim thresholds above
-    # a chunk's buffers, so that each chunk reuses the heap, not faulting it in
-    np.empty(1 << 17)
-    # indexed by c: the exact doubles that scale 10**e to 1e8
-    up = np.array([float(10 ** (8 - e)) if e <= 8 else 1.0 for e in range(-14, 31)])
-    down = np.array([float(10 ** (e - 8)) if e > 8 else 1.0 for e in range(-14, 31)])
-    # the count of significant digits of "%04d" % k; that text, a '.' after each digit
-    k = np.arange(10000)
-    significant = (4 - sum(k % 10 ** j == 0 for j in range(1, 5))).astype(np.uint8)
-    shown4 = np.where(k > 0, 4 + significant, 0).astype(np.uint8)
-    quads = np.full((10000, 8), ord("."), dtype=np.uint8)
-    quads[:, 0::2] = 48 + k[:, None] // [1000, 100, 10, 1] % 10
-    e, length = np.arange(-14, 32)[:, None], np.arange(10)
-    fixed, exponent = (e >= 0) & (e <= 8), (e < -4) | (e > 8) & (e < 31)
-    shown = np.where(fixed, np.maximum(length, e + 1), length) * (e < 31)
-    dot = np.where(fixed & (length > e + 1), e,
-                   np.where(exponent & (length > 1), 0, -1))
-    slot = np.arange(16)  # digits 0-7, each followed by its dot slot
-    keeps = np.where(slot % 2 == 0, slot // 2 < shown[..., None],
-                     slot // 2 == dot[..., None]).astype(np.uint8) * 255
-    lead = [b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"0" * (e == 31)
-            for e in range(-14, 32)]
-    prefixes = b"".join((sign + text).ljust(8, b"\0")
-                        for text in lead for sign in (b"", b"-"))
-    tails = b"".join((b"%d" % d if d or e == 8 else b"\0")
-                     + (b"\0e%+03d" % e if e < -4 or 8 < e < 31 else b"").ljust(7, b"\0")
-                     for e in range(-14, 32) for d in range(10))
-    return (up, down, significant, shown4, quads.view("<u8").ravel(),
-            keeps.view("<u8").reshape(-1, 2).T.copy(),
-            np.frombuffer(prefixes, "<u8"), np.frombuffer(tails, "<u8"))
+def _decimal(x: float):
+    """(m, e) with m * 10**e the decimal that repr(x) writes, m not a
+    multiple of 10 unless it is 0."""
+    mantissa, _, exponent = repr(float(x)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    m, e = int(whole + fraction), int(exponent or 0) - len(fraction)
+    while m and m % 10 == 0:
+        m, e = m // 10, e + 1
+    return m, e
 
 
-def _g9(x: np.ndarray, out: np.ndarray) -> None:
-    """Write `b"%.9g" % v` of each v of the float64 vector x into `out`, a
-    (4, len(x)) uint64 array, as four little-endian words of text with NUL
-    in each unused byte: the sign and the "0.000" of a small fixed-point
-    value; digits 0-3, then 4-7 of the mantissa, each followed by a slot for
-    the decimal point; digit 8, "e+XX" and a NUL left for the separator.
-
-    Where 1e-13 <= |v| < 1e30, take e = floor(log10|v|), which may be one
-    off next to a power of ten. Then y = |v| * 10**(8 - e) is one IEEE
-    multiply or divide by an exact double (|8 - e| <= 22), so it is the
-    exact scaled value Y rounded once, |y - Y| <= ulp(y) / 2 < 6e-8 for
-    y < 2**30. Where y is more than 1e-6 from a half-integer, no half-integer
-    lies between y and Y, so m = rint(y) is Y rounded to an integer, the
-    correctly rounded mantissa that "%.9g" prints. y >= 1e8 and m <= 1e9
-    keep m at 9 digits (an e one too high gives y < 1e8), and m = 1e9
-    carries to 1e8 at exponent e + 1. Zero has its own layout; every other
-    value (near a tie, out of that range, or not finite) is formatted by
-    Python in its column. The digits of m are split in integer arithmetic.
-    """
-    up, down, significant, shown4, quads, keeps, prefixes, tails = _tables()
-    a = np.abs(x)
-    fast = (a >= 1e-13) & (a < 1e30)
-    a = np.where(fast, a, 1.0)  # no log10 of 0 and no overflow in the scaling
-    # c = e + 14 names the layout: fixed-point for e = -4..8, the exponent
-    # form for the rest of e = -14..30, and zero for c = 45
-    c = np.floor(np.log10(a)).astype(np.intp) + 14
-    y = a * np.take(up, c) / np.take(down, c)
-    m = np.rint(y)
-    # |y - m| is y's distance from a whole number, 0.5 minus that from a half
-    fast &= (np.abs(y - m) < 0.5 - 1e-6) & (y >= 1e8) & (m <= 1e9)
-    carry = fast & (m == 1e9)
-    c += carry
-    c[x == 0] = 45
-    m = np.where(fast & ~carry, m, 1e8).astype(np.intp)
-    # digits 0-3, 4-7 and 8, by floor division alone (int64 % is slower)
-    q, r10 = m // 100000, m // 10
-    r, d8 = r10 - q * 10000, m - r10 * 10
-    # the significant digits: 9 if d8 > 0, else 4 + those of r if r > 0,
-    # else those of q, which is at least 1 (q >= 1000)
-    length = np.maximum(np.maximum(np.take(shown4, r), np.take(significant, q)),
-                        (d8 > 0) * np.uint8(9))
-    k = 10 * c + length
-    np.take(prefixes, 2 * c + np.signbit(x), out=out[0])
-    np.bitwise_and(np.take(quads, q), np.take(keeps[0], k), out=out[1])
-    np.bitwise_and(np.take(quads, r), np.take(keeps[1], k), out=out[2])
-    np.take(tails, 10 * c + d8, out=out[3])
-    for i in np.flatnonzero(~fast & (x != 0)):
-        out[:, i] = np.frombuffer((b"%.9g" % x[i]).ljust(32, b"\0"), dtype="<u8")
-
-
-def csv_rows(cols) -> str:
-    """CSV rows of the equal-length vectors `cols`, one per index: a float as
-    `"%.9g" % v`, a bool as 0 or 1. The distinct float vectors (a vector
-    given more than once is the same object) are formatted in one _g9 pass."""
-    floats = {id(col): col for col in cols if col.dtype != bool}
-    formatted = np.empty((4, len(floats), len(cols[0])), dtype=np.uint64)
-    _g9(np.array(list(floats.values()), dtype=float).ravel(), formatted.reshape(4, -1))
-    index = {key: f for f, key in enumerate(floats)}
-    # the words of each column, a float's four (see _g9) and a bool's one
-    starts = np.cumsum([0] + [1 if col.dtype == bool else 4 for col in cols])
-    words = np.empty((starts[-1], len(cols[0])), dtype=np.uint64)
-    for col, j, end in zip(cols, starts, starts[1:]):
-        if col.dtype == bool:
-            words[j] = col + ord("0")
-        else:
-            words[j:end] = formatted[:, index[id(col)]]
-    del formatted
-    # the separator is the last byte of each column's last word
-    words[starts[1:-1] - 1] |= ord(",") << 56
-    words[-1] |= ord("\n") << 56
-    text = words.T.tobytes()
-    del words  # so that only one copy is held while the NULs are dropped
-    return text.translate(None, b"\0").decode("ascii")
+def _phase_grid(dt: float, period: float):
+    """(a, P) such that sample k of step `dt` lies at phase (k * a mod P) / P
+    of `period`, exactly: dt and period, read as the decimals of their repr
+    and scaled by one power of ten to the least integers dt_i and period_i,
+    are a * g and P * g, g their gcd. Then j / P, of two integers below
+    2**53, is one correctly rounded division. None where either is not
+    finite or dt_i or period_i does not fit 2**53."""
+    if not (math.isfinite(dt) and math.isfinite(period)):
+        return None
+    (m_dt, e_dt), (m_period, e_period) = _decimal(dt), _decimal(period)
+    e = min(e_dt, e_period)
+    dt_i, period_i = m_dt * 10 ** (e_dt - e), m_period * 10 ** (e_period - e)
+    if max(dt_i, period_i) >= 2**53:
+        return None
+    g = math.gcd(dt_i, period_i)
+    return dt_i // g % (period_i // g), period_i // g
 
 
 class SourceWaveform(_Checked, namedtuple("SourceWaveform", [
@@ -172,18 +102,48 @@ class SourceWaveform(_Checked, namedtuple("SourceWaveform", [
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ValueError("step times must be strictly increasing")
 
-    def value(self, t):
-        """Source voltage at time `t`, a float or an array of times."""
-        t = np.asarray(t, dtype=float)
+    def levels(self, dt: float):
+        """This source on the sample grid of step `dt`, as (count, index, at):
+        sample k is at level index(k) of `count`, and level j is at voltage
+        at(j). The level is 0 for constant, the entry in effect for steps
+        (0 before the first), and for a periodic source the phase index j of
+        phase j / P (see _phase_grid). None for a periodic source whose phase
+        is not exact on this grid."""
         if self.kind == "constant":
-            return np.full(t.shape, self.offset, dtype=float)[()]
+            return (1, lambda k: np.zeros(np.shape(k), dtype=np.intp),
+                    lambda j: np.full(np.shape(j), self.offset, dtype=float))
         if self.kind == "steps":
             times = [time for time, _ in self.steps]
-            levels = np.array([self.offset] + [val for _, val in self.steps],
-                              dtype=float)
-            return levels[np.searchsorted(times, t, side="right")][()]
-        frac = t / self.period
-        frac -= np.floor(frac)  # the same doubles as % 1.0, at a tenth of its cost
+            levels = np.array([self.offset] + [val for _, val in self.steps], dtype=float)
+            return (len(levels), lambda k: np.searchsorted(times, k * dt, side="right"),
+                    levels.__getitem__)
+        grid = _phase_grid(dt, self.period)
+        if grid is None:
+            return None
+        a, count = grid
+        if (count - 1) * a < 2**63:
+            index = lambda k: k % count * a % count
+        else:  # the product would overflow int64: in Python integers
+            index = lambda k: np.asarray(np.asarray(k % count).astype(object) * a % count,
+                                         dtype=np.int64)
+        return count, index, lambda j: self._at(j / count)
+
+    def value(self, k, dt: float):
+        """Source voltage at sample `k` (an integer or an integer array) of the
+        grid of step `dt`, that is at time k * dt: the voltage of its level.
+        A periodic source whose phase is not exact on the grid is sampled at
+        the phase frac(k * dt / period) in doubles."""
+        k = np.asarray(k)
+        levels = self.levels(dt)
+        if levels is None:
+            frac = k * dt / self.period
+            frac -= np.floor(frac)  # the same doubles as % 1.0, at a tenth of its cost
+            return self._at(frac)[()]
+        _, index, at = levels
+        return at(index(k))[()]
+
+    def _at(self, frac):
+        """A periodic source's voltage at phase `frac`, in [0, 1)."""
         if self.kind == "sawtooth":
             level = frac
         elif self.kind == "sine":
@@ -192,7 +152,7 @@ class SourceWaveform(_Checked, namedtuple("SourceWaveform", [
             level = np.where(frac < 0.25, 4.0 * frac,
                              np.where(frac < 0.75, 2.0 - 4.0 * frac,
                                       4.0 * frac - 4.0))
-        return (self.offset + self.amplitude * level)[()]
+        return self.offset + self.amplitude * level
 
 
 @dataclass(frozen=True)
@@ -210,26 +170,94 @@ class Trace:
                digitize=None) -> None:
         """Write the column names, then one row per sample of the run's `source`
         and divider of `r1` and `device`. Each chunk forms `t` = k * dt, the
-        source at t, the device voltage (= `v_out`) and current in each row's
-        state and, given the comparator's (threshold, high, low), `logic`."""
+        source at sample k, the device voltage (= `v_out`) and current in each
+        row's state and, given the comparator's (threshold, high, low), `logic`.
+
+        Everything after `t` depends only on the row's source level and state
+        (SourceWaveform.levels). Where the 2 * levels rows of that text are
+        fewer than the trace's and fit _TABLE_BYTES, they are formatted once
+        (_suffix_table) and each chunk gathers its rows' suffixes after `t`;
+        otherwise each chunk formats every column of its rows."""
+        from .rows import _g9, csv_rows  # so that loading a config does not compile it
+
         names = "t,v_applied,v_device,v_out,conducting,current"
         fh.write(names + ("" if digitize is None else ",logic") + "\n")
+        levels, table = source.levels(self.dt), None
+        # a field is at most 16 characters ("-1.23456789e-100") and a separator
+        widest = (8 + 17 * (5 + (digitize is not None))) // 8 * 8
+        if levels is not None and 2 * levels[0] < len(self) \
+                and 2 * levels[0] * widest <= _TABLE_BYTES:
+            count, index, at = levels
+            table, bad = _suffix_table(count, at, r1, device, digitize)
         # in chunks, so that the text of only one chunk is held at a time; half
         # a chunk of 4 or 5 distinct float columns is a _g9 pass of ~8192 values
         rows = _CSV_CHUNK_ROWS // 2
         for start in range(0, len(self), rows):
-            t = np.arange(start, min(start + rows, len(self))) * self.dt
-            v, on = source.value(t), self.conducting[start:start + len(t)]
-            v_device, current = solve_series_divider(
-                r1, np.where(on, device.r_on, device.r_off), v)
-            bad = ~np.isfinite(v_device)
-            if bad.any():
-                raise ValueError(f"non-finite device voltage: {v_device[np.argmax(bad)]}")
-            cols = [t, v, v_device, v_device, on, current]
-            if digitize is not None:
-                threshold, high, low = digitize
-                cols.append(np.where(v_device > threshold, high, low))
-            fh.write(csv_rows(cols))
+            k = np.arange(start, min(start + rows, len(self)))
+            on = self.conducting[start:start + len(k)]
+            if table is None:
+                cols = _suffix_columns(source.value(k, self.dt), on, r1, device, digitize)
+                hit = ~np.isfinite(cols[1])
+                if hit.any():
+                    raise _non_finite(cols[1][hit.argmax()])
+                fh.write(csv_rows([k * self.dt] + cols))
+                continue
+            key = 2 * index(k) + on
+            if bad and (hit := np.isin(key, list(bad))).any():
+                raise _non_finite(bad[int(key[hit.argmax()])])
+            # t's four words (its separator slot left NUL), then the suffix's
+            words = np.empty((4 + len(table), len(k)), dtype=np.uint64)
+            _g9(k * self.dt, words[:4])
+            np.take(table, key, axis=1, out=words[4:], mode="clip")
+            text = words.T.tobytes()
+            del words
+            fh.write(text.translate(None, b"\0").decode("ascii"))
+
+
+def _suffix_columns(v, on, r1: float, device: DeviceParams, digitize):
+    """The columns after `t` of rows at source voltage `v` in state `on`."""
+    v_device, current = solve_series_divider(r1, np.where(on, device.r_on, device.r_off), v)
+    cols = [v, v_device, v_device, on, current]
+    if digitize is not None:
+        threshold, high, low = digitize
+        cols.append(np.where(v_device > threshold, high, low))
+    return cols
+
+
+def _non_finite(v_device) -> ValueError:
+    """The error of a row whose device voltage is not finite."""
+    return ValueError(f"non-finite device voltage: {v_device}")
+
+
+def _suffix_table(count: int, at, r1: float, device: DeviceParams, digitize):
+    """The text after `t` of a row at level j (of `count`, at voltage at(j))
+    in state s, as column 2j + s of a uint64 array: ",v_applied,...\n"
+    NUL-padded to one whole number of words, one word per array row (the
+    layout of csv_rows' words). Formed through csv_rows, a block of levels
+    at a time. Also {column: device voltage} of its columns where that is
+    not finite, which Trace.to_csv raises only on a row that uses one."""
+    from .rows import csv_rows
+
+    table, bad = np.zeros((0, 2 * count), dtype=np.uint64), {}
+    for lo in range(0, count, _TABLE_LEVELS):
+        j = np.arange(lo, min(lo + _TABLE_LEVELS, count)).repeat(2)
+        # the rows' device voltages are checked where a sample uses them
+        with np.errstate(all="ignore"):
+            cols = _suffix_columns(at(j), np.arange(len(j)) % 2 == 1, r1, device, digitize)
+        for i in np.flatnonzero(~np.isfinite(cols[1])).tolist():
+            bad[2 * lo + i] = cols[1][i]
+        text = np.frombuffer(csv_rows(cols).encode("ascii"), dtype=np.uint8)
+        length = np.diff(np.flatnonzero(text == ord("\n")), prepend=-1)
+        width = (int(length.max()) + 8) // 8  # a leading ',' and the text
+        if width > len(table):
+            wider = np.zeros((width, 2 * count), dtype=np.uint64)
+            wider[:len(table)] = table
+            table = wider
+        chars = np.zeros((len(j), 8 * len(table)), dtype=np.uint8)
+        chars[:, 0] = ord(",")
+        chars[:, 1:][np.arange(1, chars.shape[1]) <= length[:, None]] = text
+        table[:, 2 * lo:2 * lo + len(j)] = chars.view(np.uint64).T
+    return table, bad
 
 
 def device_voltage(r1: float, r_m, v):
@@ -298,7 +326,7 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
     def holds(a, b, d):  # rows a..b-1 at this state, rewritten if it ends first
         nonlocal window, first
         if b > first + len(window):
-            window, first = source.value(np.arange(a, min(a + _SCAN_ROWS, n)) * dt), a
+            window, first = source.value(np.arange(a, min(a + _SCAN_ROWS, n)), dt), a
             bad = ~np.isfinite(window)
             if bad.any():
                 raise ValueError(f"non-finite source voltage at t={(a + bad.argmax()) * dt}")
@@ -340,7 +368,7 @@ def iv_sweep(device: DeviceParams, amplitude: float, points: int, seed: int):
     sweep = SourceWaveform("triangle", amplitude=amplitude, period=points - 1.0)
     on = False  # the state at the end of the chunks yielded so far
     for start in range(0, points, _CSV_CHUNK_ROWS):
-        v = sweep.value(np.arange(start, min(start + _CSV_CHUNK_ROWS, points)))
+        v = sweep.value(np.arange(start, min(start + _CSV_CHUNK_ROWS, points)), 1.0)
         offsets = pairs(start, start + len(v))
         # where the condition of one state holds and the other's does not,
         # the point sets the state; where both hold, it toggles the previous one

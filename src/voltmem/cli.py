@@ -7,10 +7,11 @@ byte-identical output. `iv` and `map` write each chunk as soon as their
 generator yields it (`circuit.iv_sweep`'s points, `logic.gate_map`'s blocks
 of cells); the other verbs solve first, then write.
 
-A verb imports the modules it runs when it runs: `circuit` for iv and
-transient, `logic` for gate and map, `oscillation` for osc-check. This module
-holds no device model and runs no kernel: it writes what those return. So it
-takes ResolutionError from `device` and _CSV_CHUNK_ROWS from `config`.
+A verb imports the modules it runs when it runs: `circuit` (and `rows`, its
+CSV row writer) for iv and transient, `logic` for gate and map,
+`oscillation` for osc-check. This module holds no device model and runs no
+kernel: it writes what those return. So it takes ResolutionError from
+`device` and _CSV_CHUNK_ROWS from `config`.
 The process entry is `run`; `main` is for callers in a running interpreter.
 """
 
@@ -54,7 +55,8 @@ def _output(cfg: RunConfig):
 
 def run_iv_sweep(cfg: RunConfig) -> None:
     """The `iv` verb: circuit.iv_sweep's chunks as v,i,conducting rows."""
-    from .circuit import csv_rows, iv_sweep
+    from .circuit import iv_sweep
+    from .rows import csv_rows
     with _output(cfg) as fh:
         fh.write("v,i,conducting\n")
         for cols in iv_sweep(cfg.device, cfg.iv_amplitude, cfg.iv_points, cfg.seed):

@@ -1,10 +1,12 @@
 import io
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from voltmem.circuit import (ResolutionError, SourceWaveform, run_transient,
+from voltmem.circuit import (ResolutionError, SourceWaveform, _phase_grid, run_transient,
                              solve_series_divider)
 from voltmem.device import EmulatorParams, derive_device_params
 
@@ -75,32 +77,29 @@ class TestDivider:
 class TestWaveforms:
     def test_constant(self):
         w = SourceWaveform(kind="constant", offset=5.0)
-        assert w.value(0.0) == 5.0 and w.value(123.0) == 5.0
+        assert w.value(0, 1e-3) == 5.0 and w.value(123000, 1e-3) == 5.0
 
     def test_sawtooth_ramp(self):
         w = SourceWaveform(kind="sawtooth", amplitude=8.0, period=1.0)
-        assert w.value(0.0) == 0.0
-        assert w.value(0.5) == pytest.approx(4.0)
-        assert w.value(1.25) == pytest.approx(2.0)
+        assert w.value(0, 0.25) == 0.0
+        assert w.value(2, 0.25) == 4.0
+        assert w.value(5, 0.25) == 2.0
 
     def test_triangle_swings_both_polarities(self):
         w = SourceWaveform(kind="triangle", amplitude=4.0, period=1.0)
-        assert w.value(0.25) == pytest.approx(4.0)
-        assert w.value(0.5) == pytest.approx(0.0)
-        assert w.value(0.75) == pytest.approx(-4.0)
-        assert w.value(1.0) == pytest.approx(0.0)
+        assert w.value([1, 2, 3, 4], 0.25).tolist() == [4.0, 0.0, -4.0, 0.0]
 
     def test_triangle_near_float_max_stays_finite(self):
         # 4 * amplitude overflows, but the swing is scaled before amplitude
         w = SourceWaveform("triangle", amplitude=1e308, period=1.0)
-        assert np.isfinite(w.value(np.arange(2001) / 2000)).all()
+        assert np.isfinite(w.value(np.arange(2001), 0.0005)).all()
 
     def test_steps(self):
         w = SourceWaveform(kind="steps", offset=0.5,
                            steps=((1.0, 2.0), (2.0, 3.0)))
-        assert w.value(0.0) == 0.5
-        assert w.value(1.5) == 2.0
-        assert w.value(10.0) == 3.0
+        assert w.value(0, 0.5) == 0.5
+        assert w.value(3, 0.5) == 2.0
+        assert w.value(20, 0.5) == 3.0
 
     def test_step_times_must_increase(self):
         with pytest.raises(ValueError):
@@ -115,18 +114,42 @@ class TestWaveforms:
             SourceWaveform(kind="squarewave")
 
 
-def scalar_waveform(w, t):
-    """Reference: the piecewise definition of `w` at one float time `t`."""
+def decimal_exponent(x: Fraction) -> int:
+    """The largest e for which x / 10**e is an integer (x > 0)."""
+    e = 0
+    while (x / Fraction(10) ** e).denominator != 1:
+        e -= 1
+    while (x / Fraction(10) ** (e + 1)).denominator == 1:
+        e += 1
+    return e
+
+
+def reference_phase(k: int, dt: float, period: float) -> float:
+    """Reference: the phase of sample k, (k * dt mod period) / period of the
+    decimals that repr writes, rounded once, where both are integers below
+    2**53 at their least common power of ten; elsewhere the doubles of
+    frac(k * dt / period)."""
+    exact = [Fraction(repr(x)) for x in (dt, period)]
+    scale = Fraction(10) ** min(map(decimal_exponent, exact))
+    dt_i, period_i = (x / scale for x in exact)
+    if max(dt_i, period_i) < 2**53:
+        return float(k * dt_i % period_i / period_i)
+    x = k * dt / period
+    return x - math.floor(x)
+
+
+def scalar_waveform(w, k, dt):
+    """Reference: the piecewise definition of `w` at one sample k of step dt."""
     if w.kind == "constant":
         return w.offset
     if w.kind == "steps":
         v = w.offset
         for time, val in w.steps:
-            if t < time:
+            if k * dt < time:
                 break
             v = val
         return v
-    frac = (t / w.period) % 1.0
+    frac = reference_phase(k, dt, w.period)
     if w.kind == "sawtooth":
         return w.offset + w.amplitude * frac
     if w.kind == "sine":
@@ -140,33 +163,73 @@ def scalar_waveform(w, t):
     return w.offset + w.amplitude * level
 
 
+# steps and periods written as short decimals, whose phase is exact, and any
+# double, whose repr mostly is not
+DECIMALS = st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(1, 10**6),
+                     st.integers(-9, 2))
+STEPS = DECIMALS | st.floats(1e-6, 10.0)
+
+
 @st.composite
-def waveforms_and_times(draw):
-    """A waveform of any kind and times that include its step times and
-    quarter-period boundaries."""
+def waveforms_and_samples(draw):
+    """A waveform of any kind, a sample step, and samples that include its
+    step times and quarter-period boundaries."""
     real = st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0])
-    period = draw(st.floats(1e-4, 10.0))
+    period, dt = draw(STEPS), draw(STEPS)
     times = sorted(set(draw(st.lists(st.floats(0.0, 20.0), max_size=5))))
     w = SourceWaveform(
         draw(st.sampled_from(SourceWaveform._KINDS)), amplitude=draw(real),
         offset=draw(real), period=period,
         steps=tuple((time, draw(real)) for time in times))
-    t = (draw(st.lists(st.floats(-50.0, 50.0), max_size=20)) + times
-         + [k * period / 4.0 for k in range(9)])
-    return w, np.array(t)
+    k = (draw(st.lists(st.integers(0, 10**9), max_size=20))
+         + [round(x / dt) for x in times + [q * period / 4.0 for q in range(9)]])
+    return w, dt, np.array(k, dtype=np.int64)
 
 
 @settings(max_examples=300, deadline=None)
-@given(waveforms_and_times())
+@given(waveforms_and_samples())
 def test_waveform_array_matches_scalar_reference(case):
-    w, t = case
-    got = w.value(t)
-    assert got.shape == t.shape
-    for want in ([scalar_waveform(w, x) for x in t.tolist()],
-                 [w.value(x) for x in t.tolist()]):
+    w, dt, k = case
+    got = w.value(k, dt)
+    assert got.shape == k.shape
+    for want in ([scalar_waveform(w, x, dt) for x in k.tolist()],
+                 [w.value(x, dt) for x in k.tolist()]):
         # bit for bit, so a flipped zero sign fails too
         np.testing.assert_array_equal(got.view(np.uint64),
                                       np.array(want, dtype=float).view(np.uint64))
+
+
+# periods whose least integer at the common power of ten lies on either side
+# of 2**53; at dt = 4097 the phase index's product overflows int64
+NEAR_2_53 = st.integers(2**53 - 3, 2**53 + 3).map(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dt=STEPS | st.sampled_from([1.0, 0.5, 3.0, 4097.0]),
+       period=STEPS | NEAR_2_53 | NEAR_2_53.map(lambda x: x / 1e6),
+       k=st.lists(st.integers(0, 2**53), min_size=1, max_size=20))
+@example(dt=1.0, period=float(2**53 - 1), k=[2**53 - 2, 2**52, 3])
+@example(dt=1.0, period=float(2**53), k=[2**53 - 2, 2**52, 3])
+@example(dt=4097.0, period=float(2**52 + 1), k=[2**52, 2**40 + 7, 1])
+def test_phase_matches_fraction(dt, period, k):
+    w = SourceWaveform("sawtooth", amplitude=1.0, period=period)
+    got = w.value(np.array(k, dtype=np.int64), dt).tolist()
+    assert got == [reference_phase(x, dt, period) for x in k]
+
+
+@pytest.mark.parametrize("dt, period, exact", [
+    (1.0, float(2**53 - 1), True), (1.0, float(2**53), False),
+    (0.5, float(2**53 - 1), False), (1e-5, 0.05, True), (1e-5, 1 / 3, True),
+    (1e-5, 1 / 7, False), (1.0, 1e300, False), (1e-300, 1.0, False), (0.1, 1e14, True)])
+def test_phase_is_exact_below_2_53(dt, period, exact):
+    assert (_phase_grid(dt, period) is not None) == exact
+
+
+def test_sample_on_a_period_boundary_is_at_phase_0():
+    # frac(t / period) put t = 0.15 just below phase 1: 0.15 / 0.05 is 2.9999999999999996
+    w = SourceWaveform("sawtooth", amplitude=8.0, period=0.05)
+    assert w.value(1500, 1e-4) == 0.0
+    assert w.value(np.arange(0, 200001, 5000), 1e-5).tolist() == [0.0] * 41
 
 
 class TestTransient:
@@ -188,7 +251,7 @@ class TestTransient:
         first_on = np.argmax(tr.conducting)
         assert first_on > 0
         # device was held at threshold for t_actuate before the flip
-        v_at_arming = src.value((first_on - 5) * tr.dt)
+        v_at_arming = src.value(first_on - 5, tr.dt)
         assert v_at_arming == pytest.approx(4.693, abs=0.05)
 
     def test_kirchhoff_consistency(self):
@@ -258,7 +321,7 @@ class TestDigitize:
     def test_boundary_equality_maps_low(self):
         src = SourceWaveform("constant", offset=1.0)
         tr = fig2b_transient(src, dt=1e-4, t_end=0.01)
-        v_device = solve_series_divider(680.0, FIG2B_DEVICE.r_off, src.value(0.0))[0]
+        v_device = solve_series_divider(680.0, FIG2B_DEVICE.r_off, src.value(0, 1e-4))[0]
         assert (columns(tr, src, (v_device, 5.0, 0.0))["logic"] == 0.0).all()
 
     def test_oscillating_trace_alternates(self):

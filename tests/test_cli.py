@@ -511,8 +511,8 @@ def iv_rows_per_point(cfg):
     """The `iv` rows of the per-point loop that the array scans replaced: one
     offset pair drawn and one condition_holds per point, in sweep order."""
     d, n = cfg.device, cfg.iv_points
-    sweep = SourceWaveform("triangle", amplitude=cfg.iv_amplitude, period=1.0)
-    v = sweep.value(np.arange(n) / (n - 1)).tolist()
+    sweep = SourceWaveform("triangle", amplitude=cfg.iv_amplitude, period=n - 1.0)
+    v = sweep.value(np.arange(n), 1.0).tolist()
     offsets = np.random.default_rng(cfg.seed).normal(0.0, d.jitter_sigma, (n, 2))
     on, rows = False, []
     for vk, dk in zip(v, offsets.tolist()):
@@ -620,11 +620,12 @@ print(code, gc.get_freeze_count() > 0, "dataclasses" in sys.modules,
       *sorted(m for m in sys.modules if m.startswith("voltmem.")))
 """
 
-# the voltmem modules that each verb loads: circuit only for iv and
-# transient, logic only for gate and map, oscillation only for osc-check
+# the voltmem modules that each verb loads: circuit and its row writer only
+# for iv and transient, logic only for gate and map, oscillation only for
+# osc-check
 _CORE = ["voltmem.cli", "voltmem.config", "voltmem.device"]
-VERB_MODULES = {"iv": sorted(_CORE + ["voltmem.circuit"]),
-                "transient": sorted(_CORE + ["voltmem.circuit"]),
+VERB_MODULES = {"iv": sorted(_CORE + ["voltmem.circuit", "voltmem.rows"]),
+                "transient": sorted(_CORE + ["voltmem.circuit", "voltmem.rows"]),
                 "osc-check": sorted(_CORE + ["voltmem.oscillation"]),
                 "gate": sorted(_CORE + ["voltmem.logic"]),
                 "map": sorted(_CORE + ["voltmem.logic"])}
@@ -679,3 +680,27 @@ def test_each_verb_runs_the_model_its_load_built(tmp_path, monkeypatch):
     doc["sweep"]["param"] = "r1"
     cfg = load_config(json.dumps(dict(doc, verb="osc-check")))
     assert cfg.sweep_rows == tuple((v, cfg.device, v) for v in values)
+
+
+def transient_rows(tmp_path, doc):
+    """The CSV rows of a transient run of `doc`, each split into fields."""
+    out = tmp_path / "t.csv"
+    assert main(["transient", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    names, *rows = (row for row in out.read_text().splitlines() if row[0] != "#")
+    return [row.split(",") for row in rows]
+
+
+# a sample on a period boundary is at phase 0, where the sawtooth is 0 V;
+# a phase taken as frac(t / period) in doubles put some just below phase 1
+def test_default_sawtooth_is_0_v_at_t_0_15(tmp_path):
+    rows = transient_rows(tmp_path, {"circuit": {"dt": 1e-4, "t_end": 0.2}})
+    assert rows[1500][:4] == ["0.15", "0", "0", "0"]
+
+
+def test_sweep_rows_on_period_boundaries_are_0_v(tmp_path):
+    rows = transient_rows(tmp_path, {"circuit": {"dt": 1e-5, "t_end": 2}})
+    assert len(rows) == 200001
+    assert {rows[k][1] for k in range(0, 200001, 5000)} == {"0"}
+    for t in ("0.15", "0.3", "0.6", "0.75", "1.2", "1.45", "1.5"):
+        assert rows[round(float(t) * 1e5)][:4] == [t, "0", "0", "0"]

@@ -5,6 +5,7 @@ Python near rounding ties and outside 1e-13 <= |v| < 1e30; every output byte
 must equal Python's own text.
 """
 
+import io
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peak_memory import traced_peak
-from voltmem.circuit import _CSV_CHUNK_ROWS, SourceWaveform, Trace, csv_rows
+from voltmem import circuit
+from voltmem.circuit import _CSV_CHUNK_ROWS, SourceWaveform, Trace
+from voltmem.rows import csv_rows
 from voltmem.device import EmulatorParams, derive_device_params
 
 DEVICE = derive_device_params(EmulatorParams())
@@ -175,8 +178,77 @@ class _Sink:
 @pytest.mark.parametrize("rows", [200_000, 400_000])
 def test_to_csv_peak_memory_is_bounded(rows):
     source = SourceWaveform("sawtooth", amplitude=8.0, period=0.05)
-    trace = Trace(dt=1e-5, conducting=source.value(np.arange(rows) * 1e-5) > 4.0)
+    trace = Trace(dt=1e-5, conducting=source.value(np.arange(rows), 1e-5) > 4.0)
     sink = _Sink()
     _, peak = traced_peak(trace.to_csv, sink, source, 680.0, DEVICE, (0.8, 5.0, 0.0))
     assert sink.chars > 40 * rows
     assert peak < 2_000_000
+
+
+# Trace.to_csv gathers each row's text after `t` from a (source level, state)
+# table where that table is small; its bytes must equal the per-row writer's
+# (a budget of 0 forces that), up to and including a non-finite device
+# voltage's error
+VOLTS = st.sampled_from([0.0, -0.0, 8.0, -3.5, 1e-7, -2.5e-9, 3e12, 4.693333333,
+                         1e308, -1e308]) | st.floats(-10.0, 10.0)
+# a table row at its widest: 5 fields (6 with logic) of at most 16
+# characters and their separators, after a leading comma, in whole words
+WIDEST = {False: 88, True: 104}
+
+
+def write(trace, source, r1, digitize, budget=None):
+    """What to_csv writes, with a table budget of `budget` bytes if given,
+    and the message of the ValueError it raises."""
+    buf = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        if budget is not None:
+            mp.setattr(circuit, "_TABLE_BYTES", budget)
+        try:
+            trace.to_csv(buf, source, r1, DEVICE, digitize)
+        except ValueError as e:
+            return buf.getvalue(), str(e)
+    return buf.getvalue(), None
+
+
+@st.composite
+def gather_cases(draw):
+    kind = draw(st.sampled_from(SourceWaveform._KINDS))
+    # a periodic source of `levels` phases at dt = 1e-5, or steps anywhere
+    # over the run
+    levels = draw(st.integers(1, 1500))
+    n = draw(st.integers(2, 3 * _CSV_CHUNK_ROWS))
+    times = sorted(set(draw(st.lists(st.integers(0, n + 5), max_size=6))))
+    source = SourceWaveform(kind, amplitude=draw(VOLTS), offset=draw(VOLTS),
+                            period=float(f"{levels}e-5"),
+                            steps=tuple((k * 1e-5, draw(VOLTS)) for k in times))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    trace = Trace(dt=1e-5, conducting=rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0])))
+    digitize = draw(st.none() | st.tuples(VOLTS, VOLTS, VOLTS))
+    return trace, source, draw(st.sampled_from([0.0, 680.0])), digitize
+
+
+@settings(max_examples=200, deadline=None)
+@given(gather_cases(), st.sampled_from([None, 0, -1]))
+def test_gathered_rows_equal_per_row_rows(case, edge):
+    trace, source, r1, digitize = case
+    count = source.levels(trace.dt)[0]
+    budget = None  # the default, which every table here fits
+    if edge is not None:  # the table just fits, or misses by one byte
+        budget = 2 * count * WIDEST[digitize is not None] + edge
+    built, table = [], circuit._suffix_table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circuit, "_suffix_table",
+                   lambda *args: built.append(args[0]) or table(*args))
+        got = write(trace, source, r1, digitize, budget)
+    assert built == ([count] if edge != -1 and 2 * count < len(trace) else [])
+    assert got == write(trace, source, r1, digitize, budget=0)
+
+
+def test_gathered_rows_raise_only_on_a_used_non_finite_row():
+    # the last step overflows the divider: no row raises until the run
+    # reaches it, and then the row that does raises
+    source = SourceWaveform("steps", offset=1.0, steps=((0.01, -2.0), (0.05, 1e308)))
+    for n, error in ((4000, None), (6000, "non-finite device voltage: inf")):
+        trace = Trace(dt=1e-5, conducting=np.arange(n) % 3 == 0)
+        got = write(trace, source, 680.0, None)
+        assert got[1] == error and got == write(trace, source, 680.0, None, budget=0)

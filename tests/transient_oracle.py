@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from voltmem.circuit import (ResolutionError, SourceWaveform, csv_rows,
-                             solve_series_divider)
+from voltmem.circuit import ResolutionError, SourceWaveform, solve_series_divider
 from voltmem.device import DeviceParams, DeviceState, step_device
+from voltmem.rows import csv_rows
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,10 @@ def run_transient_per_sample(r1: float, device: DeviceParams,
 
     rng = np.random.default_rng(seed)
     n = int(round(t_end / dt)) + 1
-    t = np.arange(n) * dt
-    v_applied = source.value(t)
+    v_applied = source.value(np.arange(n), dt)
     bad = ~np.isfinite(v_applied)
     if bad.any():
-        raise ValueError(f"non-finite source voltage at t={t[np.argmax(bad)]}")
+        raise ValueError(f"non-finite source voltage at t={np.argmax(bad) * dt}")
     v_device = np.empty(n)
     conducting = np.zeros(n, dtype=bool)
     current = np.empty(n)
