@@ -18,10 +18,10 @@ in doubles. run_transient reads its source through one 2**14-sample
 window, and its Trace stores what it decides, the conduction state; every
 other column is formed per CSV chunk of 2048 rows. Everything after `t`
 in a row depends only on the row's source level (the phase index, the
-step in effect, or 0 for constant) and state. So where 2 * levels is fewer
-than the trace's rows and fits _TABLE_BYTES, Trace.to_csv formats that
-(level, state) table once through csv_rows and gathers each row's text
-from it, formatting only `t` per row; every other source is formatted per
+step in effect, or 0 for constant) and state. So where that (level, state)
+table is small against the trace and in bytes (_TABLE_SHARE, _TABLE_BYTES),
+Trace.to_csv formats it once through csv_words and gathers each row's text
+from it, formatting only `t` per row; every other trace is formatted per
 row by csv_rows (module `rows`).
 
 Only the `iv` and `transient` verbs load this module; ResolutionError, which
@@ -42,10 +42,17 @@ from .device import DeviceParams, ResolutionError, _Checked, condition_holds, ji
 # run_transient's largest scan, its source window (128 kB of float64) and its
 # smallest batch of jitter pairs
 _SCAN_ROWS = 1 << 14
-# Trace.to_csv's largest (source level, state) table of row suffixes, at the
-# widest text each row could take
+# Trace.to_csv gathers rows from a (source level, state) table of row
+# suffixes only where the trace has _TABLE_SHARE rows or more per table row
+# (a table row costs about three times what gathering a row saves, so a
+# table of more than about a third of the rows is slower than the per-row
+# writer) and where the table fits _TABLE_BYTES at the widest text each row
+# could take. It is built _TABLE_ROWS rows at a time, which keeps the
+# build's peak memory under the gather's (blocks twice as large raised a
+# run's peak RSS; smaller ones build more slowly).
+_TABLE_SHARE = 8
 _TABLE_BYTES = 1 << 20
-_TABLE_LEVELS = 256  # levels formatted per csv_rows call as the table is built
+_TABLE_ROWS = 512
 
 
 def _decimal(x: float):
@@ -175,7 +182,7 @@ class Trace:
 
         Everything after `t` depends only on the row's source level and state
         (SourceWaveform.levels). Where the 2 * levels rows of that text are
-        fewer than the trace's and fit _TABLE_BYTES, they are formatted once
+        few enough (_TABLE_SHARE, _TABLE_BYTES), they are formatted once
         (_suffix_table) and each chunk gathers its rows' suffixes after `t`;
         otherwise each chunk formats every column of its rows."""
         from .rows import _g9, csv_rows  # so that loading a config does not compile it
@@ -183,9 +190,11 @@ class Trace:
         names = "t,v_applied,v_device,v_out,conducting,current"
         fh.write(names + ("" if digitize is None else ",logic") + "\n")
         levels, table = source.levels(self.dt), None
-        # a field is at most 16 characters ("-1.23456789e-100") and a separator
-        widest = (8 + 17 * (5 + (digitize is not None))) // 8 * 8
-        if levels is not None and 2 * levels[0] < len(self) \
+        # a suffix at its widest, in whole words: 4 float fields (5 with logic)
+        # of at most 16 characters ("-1.23456789e-100"), the state's digit,
+        # and a separator after each
+        widest = (17 * (4 + (digitize is not None)) + 2 + 7) // 8 * 8
+        if levels is not None and 2 * levels[0] * _TABLE_SHARE <= len(self) \
                 and 2 * levels[0] * widest <= _TABLE_BYTES:
             count, index, at = levels
             table, bad = _suffix_table(count, at, r1, device, digitize)
@@ -205,9 +214,10 @@ class Trace:
             key = 2 * index(k) + on
             if bad and (hit := np.isin(key, list(bad))).any():
                 raise _non_finite(bad[int(key[hit.argmax()])])
-            # t's four words (its separator slot left NUL), then the suffix's
+            # t's four words, its separator in the last byte, then the suffix's
             words = np.empty((4 + len(table), len(k)), dtype=np.uint64)
             _g9(k * self.dt, words[:4])
+            words[3] |= ord(",") << 56
             np.take(table, key, axis=1, out=words[4:], mode="clip")
             text = words.T.tobytes()
             del words
@@ -231,32 +241,40 @@ def _non_finite(v_device) -> ValueError:
 
 def _suffix_table(count: int, at, r1: float, device: DeviceParams, digitize):
     """The text after `t` of a row at level j (of `count`, at voltage at(j))
-    in state s, as column 2j + s of a uint64 array: ",v_applied,...\n"
-    NUL-padded to one whole number of words, one word per array row (the
-    layout of csv_rows' words). Formed through csv_rows, a block of levels
-    at a time. Also {column: device voltage} of its columns where that is
-    not finite, which Trace.to_csv raises only on a row that uses one."""
-    from .rows import csv_rows
+    in state s, as column 2j + s of a uint64 array: the row's text, NUL-padded
+    to the words of the longest row. Formed through csv_words, _TABLE_ROWS
+    rows at a time. Also {column: device voltage} of its columns where that
+    is not finite, which Trace.to_csv raises only on a row that uses one.
+
+    The rows are compacted, not kept in csv_words' layout of four words a
+    float field: at that width each gathered row would be as long as the
+    per-row writer's, with as many NULs to drop, and the table of a typical
+    row more than twice the size."""
+    from .rows import csv_words
 
     table, bad = np.zeros((0, 2 * count), dtype=np.uint64), {}
-    for lo in range(0, count, _TABLE_LEVELS):
-        j = np.arange(lo, min(lo + _TABLE_LEVELS, count)).repeat(2)
+    for lo in range(0, 2 * count, _TABLE_ROWS):
+        key = np.arange(lo, min(lo + _TABLE_ROWS, 2 * count))
         # the rows' device voltages are checked where a sample uses them
         with np.errstate(all="ignore"):
-            cols = _suffix_columns(at(j), np.arange(len(j)) % 2 == 1, r1, device, digitize)
-        for i in np.flatnonzero(~np.isfinite(cols[1])).tolist():
-            bad[2 * lo + i] = cols[1][i]
-        text = np.frombuffer(csv_rows(cols).encode("ascii"), dtype=np.uint8)
+            cols = _suffix_columns(at(key // 2), key % 2 == 1, r1, device, digitize)
+        hit = ~np.isfinite(cols[1])
+        bad.update(zip(key[hit].tolist(), cols[1][hit].tolist()))
+        # the rows' text as csv_rows writes it, each row ending in its '\n'
+        text = csv_words(cols).T.tobytes().translate(None, b"\0")
+        text = np.frombuffer(text, dtype=np.uint8)
         length = np.diff(np.flatnonzero(text == ord("\n")), prepend=-1)
-        width = (int(length.max()) + 8) // 8  # a leading ',' and the text
+        rows = np.zeros((len(key), (int(length.max()) + 7) // 8 * 8), dtype=np.uint8)
+        rows[np.arange(rows.shape[1]) < length[:, None]] = text
+        # widened by a copy when a block's rows are wider, so that at most one
+        # block is held beside it (keeping every block for one final copy
+        # raised a run's peak RSS)
+        width = rows.shape[1] // 8
         if width > len(table):
             wider = np.zeros((width, 2 * count), dtype=np.uint64)
             wider[:len(table)] = table
             table = wider
-        chars = np.zeros((len(j), 8 * len(table)), dtype=np.uint8)
-        chars[:, 0] = ord(",")
-        chars[:, 1:][np.arange(1, chars.shape[1]) <= length[:, None]] = text
-        table[:, 2 * lo:2 * lo + len(j)] = chars.view(np.uint64).T
+        table[:width, lo:lo + len(key)] = rows.view(np.uint64).T
     return table, bad
 
 

@@ -2,8 +2,9 @@
 
 csv_rows, the row writer of `transient` traces and of `iv`, formats a
 chunk's distinct float columns in one _g9 pass, as exactly Python's "%.9g"
-text. Only the `iv` and `transient` verbs load this module, through `circuit`
-and `cli`.
+text; csv_words is that text as NUL-padded words, from which `circuit`
+also builds its table of row endings. Only the `iv` and `transient` verbs
+load this module, through `circuit` and `cli`.
 """
 
 from __future__ import annotations
@@ -103,15 +104,15 @@ def _g9(x: np.ndarray, out: np.ndarray) -> None:
         out[:, i] = np.frombuffer((b"%.9g" % x[i]).ljust(32, b"\0"), dtype="<u8")
 
 
-def csv_rows(cols) -> str:
-    """CSV rows of the equal-length vectors `cols`, one per index: a float as
-    `"%.9g" % v`, a bool as 0 or 1. The distinct float vectors (a vector
-    given more than once is the same object) are formatted in one _g9 pass."""
+def csv_words(cols) -> np.ndarray:
+    """The text of csv_rows(cols) as a (words, rows) uint64 array, row i in
+    column i: a float's four words (see _g9) and a bool's one, NUL in each
+    unused byte, and each field's separator (',' or the row's '\n') in the
+    last byte of its last word."""
     floats = {id(col): col for col in cols if col.dtype != bool}
     formatted = np.empty((4, len(floats), len(cols[0])), dtype=np.uint64)
     _g9(np.array(list(floats.values()), dtype=float).ravel(), formatted.reshape(4, -1))
     index = {key: f for f, key in enumerate(floats)}
-    # the words of each column, a float's four (see _g9) and a bool's one
     starts = np.cumsum([0] + [1 if col.dtype == bool else 4 for col in cols])
     words = np.empty((starts[-1], len(cols[0])), dtype=np.uint64)
     for col, j, end in zip(cols, starts, starts[1:]):
@@ -120,9 +121,16 @@ def csv_rows(cols) -> str:
         else:
             words[j:end] = formatted[:, index[id(col)]]
     del formatted
-    # the separator is the last byte of each column's last word
     words[starts[1:-1] - 1] |= ord(",") << 56
     words[-1] |= ord("\n") << 56
-    text = words.T.tobytes()
-    del words  # so that only one copy is held while the NULs are dropped
+    return words
+
+
+def csv_rows(cols) -> str:
+    """CSV rows of the equal-length vectors `cols`, one per index: a float as
+    `"%.9g" % v`, a bool as 0 or 1. The distinct float vectors (a vector
+    given more than once is the same object) are formatted in one _g9 pass."""
+    # the array is freed once its bytes are taken, so that only one copy is
+    # held while the NULs are dropped
+    text = csv_words(cols).T.tobytes()
     return text.translate(None, b"\0").decode("ascii")

@@ -1,6 +1,6 @@
 """The CSV row writer against Python's own `"%.9g" % v`, value by value.
 
-`circuit.csv_rows` formats floats in numpy, with a per-value fallback to
+`rows.csv_rows` formats floats in numpy, with a per-value fallback to
 Python near rounding ties and outside 1e-13 <= |v| < 1e30; every output byte
 must equal Python's own text.
 """
@@ -188,21 +188,25 @@ def test_to_csv_peak_memory_is_bounded(rows):
 # Trace.to_csv gathers each row's text after `t` from a (source level, state)
 # table where that table is small; its bytes must equal the per-row writer's
 # (a budget of 0 forces that), up to and including a non-finite device
-# voltage's error
+# voltage's error. A share of 0 lets a table of any size against the trace's
+# rows pass, so that traces shorter than the table are gathered too
 VOLTS = st.sampled_from([0.0, -0.0, 8.0, -3.5, 1e-7, -2.5e-9, 3e12, 4.693333333,
                          1e308, -1e308]) | st.floats(-10.0, 10.0)
-# a table row at its widest: 5 fields (6 with logic) of at most 16
-# characters and their separators, after a leading comma, in whole words
-WIDEST = {False: 88, True: 104}
+# a table row at its widest: 4 float fields (5 with logic) of at most 16
+# characters, the state's digit and their separators, in whole words
+WIDEST = {False: 72, True: 88}
 
 
-def write(trace, source, r1, digitize, budget=None):
-    """What to_csv writes, with a table budget of `budget` bytes if given,
-    and the message of the ValueError it raises."""
+def write(trace, source, r1, digitize, budget=None, share=None):
+    """What to_csv writes, with a table budget of `budget` bytes and a
+    _TABLE_SHARE of `share` where given, and the message of the ValueError
+    it raises."""
     buf = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
         if budget is not None:
             mp.setattr(circuit, "_TABLE_BYTES", budget)
+        if share is not None:
+            mp.setattr(circuit, "_TABLE_SHARE", share)
         try:
             trace.to_csv(buf, source, r1, DEVICE, digitize)
         except ValueError as e:
@@ -228,8 +232,8 @@ def gather_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(gather_cases(), st.sampled_from([None, 0, -1]))
-def test_gathered_rows_equal_per_row_rows(case, edge):
+@given(gather_cases(), st.sampled_from([None, 0, -1]), st.sampled_from([None, 0]))
+def test_gathered_rows_equal_per_row_rows(case, edge, share):
     trace, source, r1, digitize = case
     count = source.levels(trace.dt)[0]
     budget = None  # the default, which every table here fits
@@ -239,8 +243,9 @@ def test_gathered_rows_equal_per_row_rows(case, edge):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(circuit, "_suffix_table",
                    lambda *args: built.append(args[0]) or table(*args))
-        got = write(trace, source, r1, digitize, budget)
-    assert built == ([count] if edge != -1 and 2 * count < len(trace) else [])
+        got = write(trace, source, r1, digitize, budget, share)
+    pays = 2 * count * (circuit._TABLE_SHARE if share is None else share) <= len(trace)
+    assert built == ([count] if edge != -1 and pays else [])
     assert got == write(trace, source, r1, digitize, budget=0)
 
 
