@@ -21,8 +21,11 @@ in a row depends only on the row's source level (the phase index, the
 step in effect, or 0 for constant) and state. So where that (level, state)
 table is small against the trace and in bytes (_TABLE_SHARE, _TABLE_BYTES),
 Trace.to_csv formats it once through csv_words and gathers each row's text
-from it, formatting only `t` per row; every other trace is formatted per
-row by csv_rows (module `rows`).
+from it. `t` = k * dt is then gathered too, on the exact decimal grid of
+repr(dt), from two small tables of its high and low digits (rows.t_tables,
+under the same two cutoffs); `_g9` formats it only in a chunk with rows
+below t = 1e-4, which print in exponent form, or where those tables do not
+apply. Every other trace is formatted per row by csv_rows (module `rows`).
 
 Only the `iv` and `transient` verbs load this module; ResolutionError, which
 run_transient raises, is defined in `device` and re-exported here.
@@ -128,7 +131,9 @@ class SourceWaveform(_Checked, namedtuple("SourceWaveform", [
         if grid is None:
             return None
         a, count = grid
-        if (count - 1) * a < 2**63:
+        if a == 1:
+            index = lambda k: k % count
+        elif (count - 1) * a < 2**63:
             index = lambda k: k % count * a % count
         else:  # the product would overflow int64: in Python integers
             index = lambda k: np.asarray(np.asarray(k % count).astype(object) * a % count,
@@ -183,9 +188,11 @@ class Trace:
         Everything after `t` depends only on the row's source level and state
         (SourceWaveform.levels). Where the 2 * levels rows of that text are
         few enough (_TABLE_SHARE, _TABLE_BYTES), they are formatted once
-        (_suffix_table) and each chunk gathers its rows' suffixes after `t`;
-        otherwise each chunk formats every column of its rows."""
-        from .rows import _g9, csv_rows  # so that loading a config does not compile it
+        (_suffix_table) and each chunk gathers its rows' suffixes after `t`,
+        and `t` from the two tables of rows.t_tables where they apply and pay
+        (_g9 formats it in a chunk with a row below 1e-4, or where they do
+        not); otherwise each chunk formats every column of its rows."""
+        from .rows import csv_rows, t_tables, t_words  # so that loading a config does not compile it
 
         names = "t,v_applied,v_device,v_out,conducting,current"
         fh.write(names + ("" if digitize is None else ",logic") + "\n")
@@ -198,6 +205,10 @@ class Trace:
                 and 2 * levels[0] * widest <= _TABLE_BYTES:
             count, index, at = levels
             table, bad = _suffix_table(count, at, r1, device, digitize)
+            # t's texts, one word each, under the same cutoffs
+            times = t_tables(*_decimal(self.dt), len(self),
+                             lambda texts: texts * _TABLE_SHARE <= len(self)
+                             and texts * 8 <= _TABLE_BYTES)
         # in chunks, so that the text of only one chunk is held at a time; half
         # a chunk of 4 or 5 distinct float columns is a _g9 pass of ~8192 values
         rows = _CSV_CHUNK_ROWS // 2
@@ -214,12 +225,11 @@ class Trace:
             key = 2 * index(k) + on
             if bad and (hit := np.isin(key, list(bad))).any():
                 raise _non_finite(bad[int(key[hit.argmax()])])
-            # t's four words, its separator in the last byte, then the suffix's
+            # t's words, its separator in the last one, then the suffix's
             words = np.empty((4 + len(table), len(k)), dtype=np.uint64)
-            _g9(k * self.dt, words[:4])
-            words[3] |= ord(",") << 56
+            first = t_words(k, self.dt, times, words[:4])
             np.take(table, key, axis=1, out=words[4:], mode="clip")
-            text = words.T.tobytes()
+            text = words[first:].T.tobytes()
             del words
             fh.write(text.translate(None, b"\0").decode("ascii"))
 

@@ -198,10 +198,19 @@ def main(argv=None) -> int:
 def run() -> None:
     """The process entry (the `voltmem` script, `python -m voltmem.cli`).
     What is imported by now lives until exit, so gc.freeze keeps it out of
-    every collection, the interpreter's final ones included; main, for
-    callers in a running interpreter, never freezes their heap."""
+    every collection; main, for callers in a running interpreter, never
+    freezes their heap. Once main returns, stdout and stderr are flushed and
+    the process ends with os._exit, skipping the interpreter's teardown (its
+    final collections and the freeing of every module); main's sinks are
+    closed by then. A failed flush exits 2, as main's own does."""
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        code = 2
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,10 @@
 csv_rows, the row writer of `transient` traces and of `iv`, formats a
 chunk's distinct float columns in one _g9 pass, as exactly Python's "%.9g"
 text; csv_words is that text as NUL-padded words, from which `circuit`
-also builds its table of row endings. Only the `iv` and `transient` verbs
-load this module, through `circuit` and `cli`.
+also builds its table of row endings. On the exact decimal grid of a step,
+t_tables and t_words give `t`'s text in two words gathered from two small
+tables, with no float formatted per row. Only the `iv` and `transient`
+verbs load this module, through `circuit` and `cli`.
 """
 
 from __future__ import annotations
@@ -134,3 +136,59 @@ def csv_rows(cols) -> str:
     # held while the NULs are dropped
     text = csv_words(cols).T.tobytes()
     return text.translate(None, b"\0").decode("ascii")
+
+
+def t_tables(m: int, e: int, n: int, fits):
+    """Two text tables from which t_words writes "%.9g" % (k * dt) for the
+    rows k < n of step dt = m * 10**e (the decimal that repr(dt) writes), or
+    None where they do not apply or `fits(texts)` refuses their size.
+
+    t_k is exactly M * 10**e with M = k * m. While (n - 1) * m < 10**9 that
+    decimal has at most 9 digits, and k * dt, within a few ulps of it, is far
+    inside half a unit of its 9th digit, so "%.9g" prints the decimal itself
+    in fixed-point form wherever t_k >= 1e-4 (t_k < 1e8, as e < 0). Split
+    M = h * 10**d + l, d <= -e: t's text is then h * 10**(d + e) with all
+    its -(d + e) fraction digits, then l's d digits without trailing zeros;
+    where l = 0, it is h * 10**(d + e) with trailing zeros dropped. The d
+    with the fewest texts, each fitting one 8-byte word, is taken.
+
+    Returns (m, 10**d, high, low, last): `high` holds h's two texts, the one
+    for l > 0 at 2h and the one for l = 0 at 2h + 1; `low` holds l's digits
+    and the separator at l (only the separator at l = 0). Rows 1..last (none
+    where last is -1) print in exponent form, which these texts do not
+    give."""
+    top = (n - 1) * m  # the largest M
+    sizes = [(2 * (top // 10 ** d + 1) + 10 ** d, d) for d in range(min(-e, 7) + 1)
+             if max(len(str(top // 10 ** d)), -e - d + 1) < 8]
+    if top >= 10 ** 9 or not sizes or not fits(min(sizes)[0]):
+        return None
+    d = min(sizes)[1]
+    # appended one text at a time, so that only the words are held (a list
+    # of every text raised a transient run's peak RSS by about 0.1 MB)
+    words = bytearray()
+    for h in range(top // 10 ** d + 1):
+        fixed = b"%#.*f" % (-e - d, h / 10 ** (-e - d))
+        words += fixed.ljust(8, b"\0") + fixed.rstrip(b"0").rstrip(b".").ljust(8, b"\0")
+    for l in range(10 ** d):
+        words += ((b"%0*d" % (d, l)).rstrip(b"0") + b",").ljust(8, b"\0")
+    words = np.frombuffer(words, dtype="<u8")
+    last = (10 ** (-4 - e) - 1) // m if e < -4 else 0
+    return m, 10 ** d, words[:-10 ** d], words[-10 ** d:], last or -1
+
+
+def t_words(k: np.ndarray, dt: float, tables, out: np.ndarray) -> int:
+    """Write t = k * dt of the consecutive rows `k` into the last words of
+    `out`, a (4, len(k)) uint64 array, NUL in each unused byte and t's
+    separator in the last byte of its last word, and return its first word:
+    2 where t_tables gave `tables` and no row is in exponent form, which
+    gathers t's two words from them, else 0, where _g9 writes four."""
+    if tables is None or k[0] <= tables[-1]:
+        _g9(k * dt, out)
+        out[3] |= ord(",") << 56
+        return 0
+    m, p, high, low, _ = tables
+    whole = k * m
+    h = whole // p
+    np.take(high, 2 * h + (whole == h * p), out=out[2])
+    np.take(low, whole - h * p, out=out[3])
+    return 2

@@ -608,10 +608,12 @@ def test_process_entry_matches_main(tmp_path, capsys, verb, doc, out):
 
 # runs the process entry in this child, then prints its exit code, whether
 # the heap was frozen, whether `dataclasses` was imported and the voltmem
-# modules loaded
+# modules loaded; run() ends the process with os._exit, which here is
+# sys.exit, so that the probe can report what the run left
 _ENTRY_PROBE = """
-import gc, sys
+import gc, os, sys
 from voltmem import cli
+os._exit = sys.exit
 try:
     cli.run()
 except SystemExit as e:

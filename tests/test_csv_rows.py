@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from peak_memory import traced_peak
 from voltmem import circuit
 from voltmem.circuit import _CSV_CHUNK_ROWS, SourceWaveform, Trace
-from voltmem.rows import csv_rows
+from voltmem.rows import csv_rows, t_tables, t_words
 from voltmem.device import EmulatorParams, derive_device_params
 
 DEVICE = derive_device_params(EmulatorParams())
@@ -217,16 +217,20 @@ def write(trace, source, r1, digitize, budget=None, share=None):
 @st.composite
 def gather_cases(draw):
     kind = draw(st.sampled_from(SourceWaveform._KINDS))
-    # a periodic source of `levels` phases at dt = 1e-5, or steps anywhere
-    # over the run
+    # a periodic source of `levels` phases at dt = m * 10**e, or steps
+    # anywhere over the run; 1e-5, or a decimal step whose first rows of t
+    # may print in exponent form, whose rows may end t in a whole high text
+    # (l = 0) and whose t tables may not pay
+    m, e = draw(st.just((1, -5)) | st.tuples(st.integers(1, 999), st.integers(-9, -2)))
+    dt = float(f"{m}e{e}")
     levels = draw(st.integers(1, 1500))
     n = draw(st.integers(2, 3 * _CSV_CHUNK_ROWS))
     times = sorted(set(draw(st.lists(st.integers(0, n + 5), max_size=6))))
     source = SourceWaveform(kind, amplitude=draw(VOLTS), offset=draw(VOLTS),
-                            period=float(f"{levels}e-5"),
-                            steps=tuple((k * 1e-5, draw(VOLTS)) for k in times))
+                            period=float(f"{levels * m}e{e}"),
+                            steps=tuple((k * dt, draw(VOLTS)) for k in times))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    trace = Trace(dt=1e-5, conducting=rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0])))
+    trace = Trace(dt=dt, conducting=rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0])))
     digitize = draw(st.none() | st.tuples(VOLTS, VOLTS, VOLTS))
     return trace, source, draw(st.sampled_from([0.0, 680.0])), digitize
 
@@ -257,3 +261,39 @@ def test_gathered_rows_raise_only_on_a_used_non_finite_row():
         trace = Trace(dt=1e-5, conducting=np.arange(n) % 3 == 0)
         got = write(trace, source, 680.0, None)
         assert got[1] == error and got == write(trace, source, 680.0, None, budget=0)
+
+
+def t_text(dt, n, k):
+    """The last row in exponent form of t at step dt over n rows (-1 if
+    none), the first of t's four words that t_words writes for the rows `k`
+    (2 where it gathers them from that grid's t tables, taken at any size)
+    and their text."""
+    times = t_tables(*circuit._decimal(dt), n, lambda texts: True)
+    words = np.empty((4, len(k)), dtype=np.uint64)
+    first = t_words(k, dt, times, words)
+    return times[-1], first, words[first:].T.tobytes().translate(None, b"\0").decode().split(",")[:-1]
+
+
+# (n - 1) * m = 10**9 - 1, the largest grid that the t tables take (rows of
+# 1e-9 reach 0.999999999); 2.5e-7, whose row 400 is at t = 1e-4 exactly; and
+# 0.0125, no row of which is in exponent form
+@pytest.mark.parametrize("dt, n, last, fixed", [
+    (1e-9, 10**9, 99999, "0.0001"), (9.99e-7, 1001002, 100, "0.000100899"),
+    (2.5e-7, 200001, 399, "0.0001"), (0.0125, 80001, -1, "0")])
+def test_t_words_are_g9_text_up_to_the_grid_edge(dt, n, last, fixed):
+    k = np.unique(np.concatenate([last + 1 + np.arange(2000), n - 2000 + np.arange(2000),
+                                  RNG.integers(last + 1, n, 20_000)]))
+    assert t_text(dt, n, k) == (last, 2, ["%.9g" % v for v in (k * dt).tolist()])
+    # rows 1..last, and only those, print in exponent form; a chunk that
+    # starts at the last of them is formatted by _g9
+    assert "%.9g" % ((last + 1) * dt) == fixed
+    if last > 0:
+        k = np.arange(last, last + 2048)
+        assert "e-" in "%.9g" % (last * dt)
+        assert t_text(dt, n, k) == (last, 0, ["%.9g" % v for v in (k * dt).tolist()])
+
+
+def test_no_t_tables_from_10_9():
+    # (n - 1) * m = 10**9 may print a 10th digit; no table is built
+    assert t_tables(1, -9, 10**9 + 1, lambda texts: True) is None
+    assert t_tables(999, -9, 1001003, lambda texts: True) is None
