@@ -14,14 +14,19 @@ float time (SourceWaveform.value). A periodic source's phase is
 repr(dt) and repr(period) scaled by one power of ten, so each period
 repeats the same doubles and a sample on a period boundary is at phase 0;
 where those integers do not fit 2**53, the phase is frac(k * dt / period)
-in doubles. run_transient reads its source through one 2**14-sample
-window, and its Trace stores what it decides, the conduction state; every
-other column is formed per CSV chunk of 2048 rows. Everything after `t`
-in a row depends only on the row's source level (the phase index, the
+in doubles. Without jitter, on a source whose levels repeat with a period
+of at most 2**14 samples (constant, or periodic on the exact grid), the
+switching condition of a state depends on the sample's level alone, so
+run_transient solves it once per level and finds each onset and break by
+lookup; every other run probes it in blocks through one 2**14-sample
+source window. Its Trace stores what it decides, the conduction state;
+every other column is formed per CSV chunk of 2048 rows. Everything after
+`t` in a row depends only on the row's source level (the phase index, the
 step in effect, or 0 for constant) and state. So where that (level, state)
 table is small against the trace and in bytes (_TABLE_SHARE, _TABLE_BYTES),
-Trace.to_csv formats it once through csv_words and gathers each row's text
-from it. `t` = k * dt is then gathered too, on the exact decimal grid of
+Trace.to_csv formats through csv_words the endings of the pairs that the
+trace's runs of one state visit, and gathers each row's text from them.
+`t` = k * dt is then gathered too, on the exact decimal grid of
 repr(dt), from two small tables of its high and low digits (rows.t_tables,
 under the same two cutoffs); `_g9` formats it only in a chunk with rows
 below t = 1e-4, which print in exponent form, or where those tables do not
@@ -56,6 +61,9 @@ _SCAN_ROWS = 1 << 14
 _TABLE_SHARE = 8
 _TABLE_BYTES = 1 << 20
 _TABLE_ROWS = 512
+# Trace.to_csv finds the (level, state) pairs a trace visits from its runs
+# of one state, cut at blocks of this many rows
+_VISIT_ROWS = 1 << 16
 
 
 def _decimal(x: float):
@@ -187,8 +195,9 @@ class Trace:
 
         Everything after `t` depends only on the row's source level and state
         (SourceWaveform.levels). Where the 2 * levels rows of that text are
-        few enough (_TABLE_SHARE, _TABLE_BYTES), they are formatted once
-        (_suffix_table) and each chunk gathers its rows' suffixes after `t`,
+        few enough (_TABLE_SHARE, _TABLE_BYTES), those that the rows use
+        (_visited) are formatted once (_suffix_table) and each chunk gathers
+        its rows' suffixes after `t`,
         and `t` from the two tables of rows.t_tables where they apply and pay
         (_g9 formats it in a chunk with a row below 1e-4, or where they do
         not); otherwise each chunk formats every column of its rows."""
@@ -204,7 +213,8 @@ class Trace:
         if levels is not None and 2 * levels[0] * _TABLE_SHARE <= len(self) \
                 and 2 * levels[0] * widest <= _TABLE_BYTES:
             count, index, at = levels
-            table, bad = _suffix_table(count, at, r1, device, digitize)
+            keys = _visited(self.conducting, count, index, source.kind != "steps")
+            table, bad = _suffix_table(count, keys, at, r1, device, digitize, widest // 8)
             # t's texts, one word each, under the same cutoffs
             times = t_tables(*_decimal(self.dt), len(self),
                              lambda texts: texts * _TABLE_SHARE <= len(self)
@@ -249,12 +259,50 @@ def _non_finite(v_device) -> ValueError:
     return ValueError(f"non-finite device voltage: {v_device}")
 
 
-def _suffix_table(count: int, at, r1: float, device: DeviceParams, digitize):
+def _visited(conducting, count: int, index, periodic: bool):
+    """The keys 2 * level + state that the rows of `conducting` use, found
+    from its runs of one state rather than row by row, in the order of
+    their residues or levels. A run of rows [a, b) covers the cyclic
+    residues a % count .. (b - 1) % count of a periodic level index (all of
+    them where b - a >= count), at levels index(residue); under a steps
+    index, which never falls, it covers the levels index(a) .. index(b - 1),
+    every level between the two included (all of them used unless two step
+    times fall within one step)."""
+    # each run marks its span [lo, hi) of its state's 2 * count positions;
+    # one that wraps past a period ends in the second count. The runs are
+    # cut at blocks of _VISIT_ROWS rows, so that no temporary grows with
+    # the trace; the pieces of a run cover what it covers.
+    marks = np.zeros(4 * count, dtype=np.intp)
+    for start in range(0, len(conducting), _VISIT_ROWS):
+        on = conducting[start:start + _VISIT_ROWS]
+        a = np.flatnonzero(on[1:] != on[:-1]) + 1
+        b = np.append(a, len(on)) + start
+        a = np.insert(a, 0, 0) + start
+        if periodic:
+            lo = a % count
+            hi = lo + np.minimum(b - a, count)
+        else:
+            lo, hi = index(a), index(b - 1) + 1
+        row = on[a - start] * (2 * count)  # each run's state's half of marks
+        marks += np.bincount(row + lo, minlength=4 * count)
+        marks -= np.bincount(row + hi, minlength=4 * count)
+    covered = np.cumsum(marks.reshape(2, 2 * count), axis=1) > 0
+    # 2 * residue + state, where a state covers the residue; not sorted by
+    # level, as the table needs no order (numpy's sort code, which no other
+    # step of a transient runs, raised its peak RSS by 0.2 MB)
+    key = np.flatnonzero((covered[:, :count] | covered[:, count:]).T)
+    return 2 * index(key // 2) + key % 2 if periodic else key
+
+
+def _suffix_table(count: int, keys, at, r1: float, device: DeviceParams, digitize,
+                  words: int):
     """The text after `t` of a row at level j (of `count`, at voltage at(j))
-    in state s, as column 2j + s of a uint64 array: the row's text, NUL-padded
-    to the words of the longest row. Formed through csv_words, _TABLE_ROWS
-    rows at a time. Also {column: device voltage} of its columns where that
-    is not finite, which Trace.to_csv raises only on a row that uses one.
+    in state s, as column 2j + s of a uint64 array, for each key 2j + s of
+    `keys` (the other columns stay zero, as no row reads them): the row's
+    text, NUL-padded to the words of the longest row, of at most `words`.
+    Formed through csv_words, _TABLE_ROWS rows at a time. Also {column:
+    device voltage} of its columns where that is not finite, which
+    Trace.to_csv raises only on a row that uses one.
 
     The rows are compacted, not kept in csv_words' layout of four words a
     float field: at that width each gathered row would be as long as the
@@ -262,9 +310,12 @@ def _suffix_table(count: int, at, r1: float, device: DeviceParams, digitize):
     row more than twice the size."""
     from .rows import csv_words
 
-    table, bad = np.zeros((0, 2 * count), dtype=np.uint64), {}
-    for lo in range(0, 2 * count, _TABLE_ROWS):
-        key = np.arange(lo, min(lo + _TABLE_ROWS, 2 * count))
+    # as deep as the widest row could be, so that no block is copied into a
+    # wider table; the words past the longest row are never written, so
+    # their pages are never touched
+    table, bad, width = np.zeros((words, 2 * count), dtype=np.uint64), {}, 0
+    for lo in range(0, len(keys), _TABLE_ROWS):
+        key = keys[lo:lo + _TABLE_ROWS]
         # the rows' device voltages are checked where a sample uses them
         with np.errstate(all="ignore"):
             cols = _suffix_columns(at(key // 2), key % 2 == 1, r1, device, digitize)
@@ -276,16 +327,9 @@ def _suffix_table(count: int, at, r1: float, device: DeviceParams, digitize):
         length = np.diff(np.flatnonzero(text == ord("\n")), prepend=-1)
         rows = np.zeros((len(key), (int(length.max()) + 7) // 8 * 8), dtype=np.uint8)
         rows[np.arange(rows.shape[1]) < length[:, None]] = text
-        # widened by a copy when a block's rows are wider, so that at most one
-        # block is held beside it (keeping every block for one final copy
-        # raised a run's peak RSS)
-        width = rows.shape[1] // 8
-        if width > len(table):
-            wider = np.zeros((width, 2 * count), dtype=np.uint64)
-            wider[:len(table)] = table
-            table = wider
-        table[:width, lo:lo + len(key)] = rows.view(np.uint64).T
-    return table, bad
+        table[:rows.shape[1] // 8, key] = rows.view(np.uint64).T
+        width = max(width, rows.shape[1] // 8)
+    return table[:width], bad
 
 
 def device_voltage(r1: float, r_m, v):
@@ -319,6 +363,17 @@ def _first(mask, lo: int, hi: int) -> int:
     return hi
 
 
+def _next(residues, count: int, lo: int, hi: int) -> int:
+    """First sample k in [lo, hi) whose residue k % count is in `residues`,
+    a sorted int array; hi if none."""
+    if not len(residues):
+        return hi
+    turn, r = divmod(lo, count)
+    i = int(residues.searchsorted(r))
+    k = turn * count + (int(residues[i]) if i < len(residues) else count + int(residues[0]))
+    return min(k, hi)
+
+
 def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
                   dt: float, t_end: float, seed: int = 0) -> Trace:
     """Fixed-timestep transient of `device` from OFF, behind `r1` across `source`.
@@ -328,9 +383,20 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
     tests/transient_oracle.py does. The loop runs once per switching onset:
     it finds the first sample where the condition holds, then switches if
     the condition keeps holding for `hold` samples with that onset's jitter
-    offsets, or else resumes one sample after the break. No read starts
-    before the last one, so the source is sampled in a forward window, and
-    `device.jitter_pairs` keeps no pair from before the current block.
+    offsets, or else resumes one sample after the break, and records the
+    state of the samples it has passed.
+
+    Without jitter, on a source whose level index repeats with period
+    count <= _SCAN_ROWS (constant, or periodic on the exact phase grid; see
+    SourceWaveform.levels), a sample's condition in a state depends on its
+    residue k % count alone. So each state's condition is solved once over
+    the residues, and the onset and the break are each one searchsorted in
+    that state's sorted holding or failing residues (_lookup). Every other
+    run (jitter, a steps source, a phase off the exact grid, or more than
+    _SCAN_ROWS levels) probes the condition in blocks of samples (_probe,
+    _first): no read starts before the last one, so the source is sampled
+    in a forward window, and `device.jitter_pairs` keeps no pair from
+    before the current block.
     """
     if r1 < 0:
         raise ValueError("r1 must be >= 0")
@@ -347,11 +413,60 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
     hold, elapsed = 1, 0.0 + dt
     while not elapsed >= device.t_actuate and hold <= n:
         hold, elapsed = hold + 1, elapsed + dt
-    # the steps before pos drew `used` pairs, one per step with no switch pending
-    pairs, used = jitter_pairs(device, seed, _SCAN_ROWS), 0
+    levels = source.levels(dt)
+    if device.jitter_sigma == 0 and source.kind != "steps" and levels is not None \
+            and levels[0] <= _SCAN_ROWS:
+        onset, broken = _lookup(r1, device, dt, n, *levels)
+    else:
+        onset, broken = _probe(r1, device, source, dt, n, seed)
+
+    state, pos = False, 0
+    while pos < n:
+        start = onset(state, pos)
+        if start == n:
+            conducting[pos:] = state
+            break
+        end = min(start + hold, n)
+        stop = broken(state, start + 1, end) + 1
+        conducting[pos:min(stop, end)] = state
+        if stop > end:  # the switch; past the last row it changes nothing
+            state, pos = not state, end
+        else:
+            pos = stop
+
+    return Trace(dt=dt, conducting=conducting)
+
+
+def _lookup(r1: float, device: DeviceParams, dt: float, n: int, count: int, index, at):
+    """run_transient's (onset, broken) where sample k's condition in a state
+    depends only on its residue k % count: each state's condition solved once
+    over the residues below min(count, n), the doubles the probe would solve."""
+    v = at(index(np.arange(min(count, n))))
+    bad = ~np.isfinite(v)
+    if bad.any():
+        raise ValueError(f"non-finite source voltage at t={bad.argmax() * dt}")
+    holding, failing = [], []
+    for state in (False, True):
+        found = condition_holds(device, state, device_voltage(
+            r1, device.r_on if state else device.r_off, v), (0.0, 0.0))
+        holding.append(np.flatnonzero(found))
+        failing.append(np.flatnonzero(~found))
+    return (lambda state, lo: _next(holding[state], count, lo, n),
+            lambda state, lo, hi: _next(failing[state], count, lo, hi))
+
+
+def _probe(r1: float, device: DeviceParams, source: SourceWaveform, dt: float, n: int,
+           seed: int):
+    """run_transient's (onset, broken) in blocks of samples: onset(state, pos),
+    the first sample from pos where the condition holds with its own jitter
+    pair, draws one pair for each sample up to it; broken(state, lo, hi), the
+    first sample in [lo, hi) where it fails with that onset's pair."""
+    # the steps before the current onset search drew `used` pairs, one per
+    # step with no switch pending; `d` is the last onset's pair
+    pairs, used, d = jitter_pairs(device, seed, _SCAN_ROWS), 0, None
     window, first = np.empty(0), 0  # source at rows first..
 
-    def holds(a, b, d):  # rows a..b-1 at this state, rewritten if it ends first
+    def holds(state, a, b, d):  # the condition over rows a..b-1
         nonlocal window, first
         if b > first + len(window):
             window, first = source.value(np.arange(a, min(a + _SCAN_ROWS, n)), dt), a
@@ -360,25 +475,18 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
                 raise ValueError(f"non-finite source voltage at t={(a + bad.argmax()) * dt}")
         # the device voltage alone: no loop current is formed
         r_m = device.r_on if state else device.r_off
-        v_m = device_voltage(r1, r_m, window[a - first:b - first])
-        conducting[a:b] = state
-        return condition_holds(device, state, v_m, d)
+        return condition_holds(device, state, device_voltage(r1, r_m, window[a - first:b - first]), d)
 
-    state, pos = False, 0
-    while pos < n:
-        onset = _first(lambda a, b: holds(a, b, pairs(used + a - pos, used + b - pos)), pos, n)
-        if onset == n:
-            break
-        used += onset - pos + 1
-        d = pairs(used - 1, used)
-        end = min(onset + hold, n)
-        broke = _first(lambda a, b: ~holds(a, b, d), onset + 1, end)
-        if broke < end:
-            pos = broke + 1
-        else:  # the switch; past the last row it changes nothing
-            state, pos = not state, end
+    def onset(state, pos):
+        nonlocal used, d
+        start = _first(lambda a, b: holds(state, a, b, pairs(used + a - pos, used + b - pos)),
+                       pos, n)
+        if start < n:
+            used += start - pos + 1
+            d = pairs(used - 1, used)
+        return start
 
-    return Trace(dt=dt, conducting=conducting)
+    return onset, lambda state, lo, hi: _first(lambda a, b: ~holds(state, a, b, d), lo, hi)
 
 
 def iv_sweep(device: DeviceParams, amplitude: float, points: int, seed: int):

@@ -17,8 +17,12 @@ The process entry is `run`; `main` is for callers in a running interpreter.
 
 from __future__ import annotations
 
-import argparse
 import gc
+
+if __name__ == "__main__":  # the process entry: no collection while it imports (see run)
+    gc.disable()
+
+import argparse
 import os
 import sys
 from contextlib import contextmanager
@@ -198,12 +202,16 @@ def main(argv=None) -> int:
 def run() -> None:
     """The process entry (the `voltmem` script, `python -m voltmem.cli`).
     What is imported by now lives until exit, so gc.freeze keeps it out of
-    every collection; main, for callers in a running interpreter, never
-    freezes their heap. Once main returns, stdout and stderr are flushed and
-    the process ends with os._exit, skipping the interpreter's teardown (its
-    final collections and the freeing of every module); main's sinks are
-    closed by then. A failed flush exits 2, as main's own does."""
+    every collection, and the collector is enabled for the verb: run as
+    `__main__`, this module disables it before numpy loads, so that the
+    imports run no collection (the script imports this module as a module
+    and collects as before). main, for callers in a running interpreter,
+    never freezes their heap. Once main returns, stdout and stderr are
+    flushed and the process ends with os._exit, skipping the interpreter's
+    teardown (its final collections and the freeing of every module); main's
+    sinks are closed by then. A failed flush exits 2, as main's own does."""
     gc.freeze()
+    gc.enable()
     code = main()
     try:
         sys.stdout.flush()

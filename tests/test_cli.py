@@ -648,6 +648,42 @@ def test_each_verb_loads_only_its_modules(tmp_path, verb):
     assert dataclasses == str("voltmem.circuit" in modules)
 
 
+# the module entry as `python -m voltmem.cli` runs it, through runpy as
+# __main__: each collection that starts is logged, and so is the collector's
+# state when the module's `main` is called
+_MODULE_ENTRY_PROBE = """
+import gc, os, runpy, sys
+log = []
+gc.callbacks.append(lambda phase, info: phase == "start" and log.append("collect"))
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "main" \\
+            and frame.f_code.co_filename.endswith("cli.py"):
+        log.append("main, enabled" if gc.isenabled() else "main, disabled")
+os._exit = sys.exit
+gc.collect()
+log.clear()
+sys.setprofile(profile)
+try:
+    runpy.run_module("voltmem.cli", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    code = e.code
+sys.setprofile(None)
+print(code, *sorted(set(log), key=log.index), sep=";")
+"""
+
+
+# as the process entry, the module runs no collection while it imports
+# (numpy included), and the verb runs with the collector enabled
+@pytest.mark.parametrize("verb", ["transient", "map"])
+def test_module_entry_collects_nothing_before_main(tmp_path, verb):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = [verb, "--config", write_config(tmp_path, VERB_DOCS[verb]), "--out", "o.csv"]
+    proc = subprocess.run([sys.executable, "-c", _MODULE_ENTRY_PROBE, *argv], env=env,
+                          cwd=tmp_path, capture_output=True, text=True)
+    code, first, *_ = proc.stdout.splitlines()[-1].split(";")
+    assert (code, first) == ("0", "main, enabled"), proc.stderr
+
+
 def test_each_verb_runs_the_model_its_load_built(tmp_path, monkeypatch):
     """The load keeps the models its checks build, and the verb runs those:
     a gate run builds one LogicCircuit, and an r_int sweep of k values builds

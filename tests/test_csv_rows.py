@@ -217,40 +217,56 @@ def write(trace, source, r1, digitize, budget=None, share=None):
 @st.composite
 def gather_cases(draw):
     kind = draw(st.sampled_from(SourceWaveform._KINDS))
-    # a periodic source of `levels` phases at dt = m * 10**e, or steps
-    # anywhere over the run; 1e-5, or a decimal step whose first rows of t
-    # may print in exponent form, whose rows may end t in a whole high text
-    # (l = 0) and whose t tables may not pay
+    # a periodic source of `levels` phases at dt = m * 10**e (or of period
+    # levels * 10**e, whose phase index k * a mod P steps by a = m / g, g
+    # the gcd of m and levels), or steps anywhere over the run; 1e-5, or a
+    # decimal step whose first rows of t may print in exponent form, whose
+    # rows may end t in a whole high text (l = 0) and whose t tables may
+    # not pay
     m, e = draw(st.just((1, -5)) | st.tuples(st.integers(1, 999), st.integers(-9, -2)))
     dt = float(f"{m}e{e}")
-    levels = draw(st.integers(1, 1500))
+    levels = draw(st.integers(1, 1500)) * draw(st.sampled_from([m, 1]))
     n = draw(st.integers(2, 3 * _CSV_CHUNK_ROWS))
     times = sorted(set(draw(st.lists(st.integers(0, n + 5), max_size=6))))
     source = SourceWaveform(kind, amplitude=draw(VOLTS), offset=draw(VOLTS),
-                            period=float(f"{levels * m}e{e}"),
+                            period=float(f"{levels}e{e}"),
                             steps=tuple((k * dt, draw(VOLTS)) for k in times))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    trace = Trace(dt=dt, conducting=rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0])))
+    # every row in one state, rows in random states, or runs of about 100
+    # rows, so that some (level, state) pairs are visited only by a run that
+    # wraps past a period
+    rng, p_on = np.random.default_rng(draw(st.integers(0, 2**32))), draw(
+        st.sampled_from([0.0, 0.5, 1.0, None]))
+    on = np.cumsum(rng.random(n) < 0.01) % 2 == 1 if p_on is None else rng.random(n) < p_on
+    trace = Trace(dt=dt, conducting=on)
     digitize = draw(st.none() | st.tuples(VOLTS, VOLTS, VOLTS))
     return trace, source, draw(st.sampled_from([0.0, 680.0])), digitize
 
 
 @settings(max_examples=200, deadline=None)
-@given(gather_cases(), st.sampled_from([None, 0, -1]), st.sampled_from([None, 0]))
-def test_gathered_rows_equal_per_row_rows(case, edge, share):
+@given(gather_cases(), st.sampled_from([None, 0, -1]), st.sampled_from([None, 0]),
+       st.sampled_from([None, 7, 100]))
+def test_gathered_rows_equal_per_row_rows(case, edge, share, visit):
     trace, source, r1, digitize = case
     count = source.levels(trace.dt)[0]
     budget = None  # the default, which every table here fits
     if edge is not None:  # the table just fits, or misses by one byte
         budget = 2 * count * WIDEST[digitize is not None] + edge
-    built, table = [], circuit._suffix_table
+    built, keys, table = [], [], circuit._suffix_table
     with pytest.MonkeyPatch.context() as mp:
+        if visit is not None:  # the runs cut at blocks of `visit` rows
+            mp.setattr(circuit, "_VISIT_ROWS", visit)
         mp.setattr(circuit, "_suffix_table",
-                   lambda *args: built.append(args[0]) or table(*args))
+                   lambda *args: built.append(args[0]) or keys.append(args[1]) or table(*args))
         got = write(trace, source, r1, digitize, budget, share)
     pays = 2 * count * (circuit._TABLE_SHARE if share is None else share) <= len(trace)
     assert built == ([count] if edge != -1 and pays else [])
     assert got == write(trace, source, r1, digitize, budget=0)
+    # the table formats the (level, state) keys that the rows use, and only
+    # those (the step times here are samples' times, so no step is skipped)
+    if built:
+        index = source.levels(trace.dt)[1]
+        visited = np.unique(2 * index(np.arange(len(trace))) + trace.conducting)
+        np.testing.assert_array_equal(np.sort(keys[0]), visited)
 
 
 def test_gathered_rows_raise_only_on_a_used_non_finite_row():

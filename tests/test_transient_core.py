@@ -170,6 +170,72 @@ def test_small_window_matches_per_sample_oracle(case):
         assert_matches_oracle(case)
 
 
+def source_reads(monkeypatch, run, *args):
+    """What run(*args) returns and how many times it called SourceWaveform.value."""
+    calls, value = [], SourceWaveform.value
+    monkeypatch.setattr(SourceWaveform, "value", lambda *a: calls.append(1) or value(*a))
+    result = run(*args)
+    monkeypatch.setattr(SourceWaveform, "value", value)
+    return result, len(calls)
+
+
+# periodic sources on their exact phase grid, each of `count` levels: a grid
+# with a != 1 (3e-5 of 1.01e-3: 101 levels, a = 3; 7e-6 of 1.3e-3: 1300, a = 7),
+# t_actuate 0 (hold 1), and more levels than samples (2500 levels, 201 rows);
+# each switches
+LOOKUP_CASES = {
+    "triangle-a3": (*fig2b(SourceWaveform("triangle", amplitude=0.6, offset=4.7,
+                                          period=1.01e-3)), 3e-5, 0.03, 0),
+    "sine-a7": (*fig2b(SourceWaveform("sine", amplitude=0.5, offset=4.69, period=1.3e-3)),
+                7e-6, 0.02, 0),
+    "sine-hold-1": (*fig2b(SourceWaveform("sine", amplitude=1.0, offset=4.7, period=2e-3),
+                           t_actuate=0.0), 2e-5, 0.02, 0),
+    "sawtooth-count-over-n": (*fig2b(SourceWaveform("sawtooth", amplitude=4.0, offset=4.65,
+                                                    period=0.05)), 2e-5, 0.004, 0),
+}
+
+
+# without jitter a run answers the switching rule by lookup in each state's
+# residues where count <= _SCAN_ROWS, reading no source sample, and by the
+# window probe above that cutoff: both give the oracle's trace and rows, and
+# a jittered run takes the probe at any count
+@pytest.mark.parametrize("side", [0, -1], ids=["lookup", "probe"])
+@pytest.mark.parametrize("case", LOOKUP_CASES.values(), ids=LOOKUP_CASES)
+def test_lookup_matches_per_sample_oracle_at_its_cutoff(monkeypatch, case, side):
+    r1, device, source, dt = case[:4]
+    count = source.levels(dt)[0]
+    monkeypatch.setattr(circuit, "_SCAN_ROWS", count + side)
+    trace, reads = source_reads(monkeypatch, run_transient, *case)
+    assert (reads == 0) == (side == 0)
+    assert np.diff(trace.conducting).any()
+    assert_matches_oracle(case)
+    jittered = (r1, device._replace(jitter_sigma=0.05), *case[2:])
+    assert source_reads(monkeypatch, run_transient, *jittered)[1] > 0
+    assert_matches_oracle(jittered)
+
+
+# levels past 0.797 of the period overflow to inf: the lookup, which solves
+# each level once, and the probe both fail at the oracle's sample, and a
+# run that ends before level 80 (61 rows of the 100 levels) does not fail
+@pytest.mark.parametrize("scan_rows", [100, 99], ids=["lookup", "probe"])
+def test_non_finite_level_fails_at_the_oracles_sample(monkeypatch, scan_rows):
+    monkeypatch.setattr(circuit, "_SCAN_ROWS", scan_rows)
+    source = SourceWaveform("sawtooth", amplitude=1e308, offset=1e308, period=2e-3)
+    case = (*fig2b(source), 2e-5, 0.02, 0)
+    with np.errstate(over="ignore"):
+        got = outcome(run_transient, *case)
+        assert got == outcome(run_transient_per_sample, *case)
+        assert len(run_transient(*case[:3], 2e-5, 1.2e-3)) == 61
+    assert got == (ValueError, f"non-finite source voltage at t={80 * 2e-5}")
+
+
+def test_sweep_reads_no_source_sample(monkeypatch):
+    cfg = load_config_dict({"verb": "transient", "circuit": {"dt": 1e-5, "t_end": 2}})
+    trace, reads = source_reads(monkeypatch, run_transient, cfg.r1, cfg.device, cfg.source,
+                                cfg.dt, cfg.t_end)
+    assert len(trace) == 200001 and reads == 0
+
+
 def test_hold_count_is_capped():
     """A delay far longer than the run neither switches nor counts to it."""
     d = derive_device_params(EmulatorParams())._replace(t_actuate=1.0)
