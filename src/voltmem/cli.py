@@ -5,7 +5,10 @@ prefixed with a reproducibility header: the fully resolved configuration
 plus the seed as `#` comment lines. Identical config + seed gives
 byte-identical output. `iv` and `map` write each chunk as soon as their
 generator yields it (`circuit.iv_sweep`'s points, `logic.gate_map`'s blocks
-of cells); the other verbs solve first, then write.
+of cells); the other verbs solve first, then write. `map` joins a block's
+CSV text from strings over runs of one outcome along a row, and a row equal
+to the one before it reuses its cells, as rows repeat on narrow maps (see
+run_map_verb).
 
 A verb imports the modules it runs when it runs: `circuit` (and `rows`, its
 CSV row writer) for iv and transient, `logic` for gate and map,
@@ -107,49 +110,63 @@ def run_gate_verb(cfg: RunConfig) -> None:
         fh.write("oscillated = %s\n" % ("true" if cycled else "false"))
 
 
-def _byte_table(texts) -> np.ndarray:
-    """The ASCII `texts` as the rows of a uint8 array, NUL-padded."""
-    return np.array([t.encode() for t in texts]).view(np.uint8).reshape(len(texts), -1)
-
-
-def _axis_table(axis: np.ndarray) -> np.ndarray:
-    """_byte_table of each axis value's "%.9g,", formed _CSV_CHUNK_ROWS values
-    at a time. 16 bytes hold any of them: a config's axis value is 0 or of
-    magnitude 1e-28 to 1e13, so its exponent has two digits."""
-    table, width = np.zeros((len(axis), 16), dtype=np.uint8), 1
-    for start in range(0, len(axis), _CSV_CHUNK_ROWS):
-        rows = _byte_table(["%.9g," % v for v in axis[start:start + _CSV_CHUNK_ROWS].tolist()])
-        table[start:start + len(rows), :rows.shape[1]] = rows
-        width = max(width, rows.shape[1])
-    return table[:, :width]
-
-
 def run_map_verb(cfg: RunConfig) -> None:
     """The (V1, V2) gate-map sweep: CSV to the output sink, heatmaps to stdout.
     It writes each block of logic.gate_map's outcomes as it is yielded: a
     block's CSV text lives only while it is written, and its outcomes go into
-    the heatmaps' array, 2 bytes a cell."""
+    the heatmaps' array, 2 bytes a cell.
+    The text relies on the map's shape: its outcome regions are faces of a
+    line arrangement, so along a row one outcome holds over runs of many
+    cells, and on a narrow map whole rows repeat. Per outcome, the cells
+    "v2,code_m1,...\n" of the block's span of v2 values are one list, made
+    on first use; a row's cells are slices of those lists, one per run,
+    joined by its "v1," text, and a row equal to the one before it in the
+    block reuses its cells. The lists live while the span does, so on a v2
+    axis longer than a block they hold one block's cells, never a whole
+    axis."""
     from .logic import GATE_NAMES, OSCILLATING_CODE, gate_map
     v1_axis = axis_points(cfg.v1_axis)
     v2_axis = axis_points(cfg.v2_axis)
-    heads, cols = _axis_table(v1_axis), _axis_table(v2_axis)
-    suffixes = _byte_table(
-        ["%d,%s,%d,%s,0\n" % (c1, GATE_NAMES[c1], c2, GATE_NAMES[c2])
-         for c1 in range(16) for c2 in range(16)]
-        + ["%d,OSC,%d,OSC,1\n" % (OSCILLATING_CODE, OSCILLATING_CODE)])
+    endings = (["%d,%s,%d,%s,0\n" % (c1, GATE_NAMES[c1], c2, GATE_NAMES[c2])
+                for c1 in range(16) for c2 in range(16)]
+               + ["%d,OSC,%d,OSC,1\n" % (OSCILLATING_CODE, OSCILLATING_CODE)])
     # heatmap rows run from the highest v2 down, columns over v1, and
     # outcome 257 ends a row
     rows = np.full((len(v2_axis), len(v1_axis) + 1), 257, dtype=np.uint16)
     cell_outcomes = rows[::-1, :-1].T  # a view indexed [v1, v2]
+    span = None
     with _output(cfg) as fh:
         fh.write("# grid = %dx%d\n" % (len(v1_axis), len(v2_axis)))
         fh.write("v1,v2,code_m1,label_m1,code_m2,label_m2,oscillated\n")
         for at, ends in gate_map(cfg.logic_circuit, v1_axis, v2_axis, cfg.v3):
             cell_outcomes[at] = ends
-            parts = heads[at[0], None], cols[at[1]], suffixes.take(ends, axis=0)
-            cells = np.concatenate([np.broadcast_to(p, ends.shape + p.shape[-1:])
-                                    for p in parts], axis=2)
-            fh.write(cells.tobytes().translate(None, b"\0").decode("ascii"))
+            if at[1] != span:
+                span = at[1]
+                v2_texts = ["%.9g," % v for v in v2_axis[span].tolist()]
+                cells_of = [None] * len(endings)  # by outcome
+            # run k of one outcome starts at bounds[k]: at each row's start
+            # and at each change of outcome; the last bound is ends.size
+            width, flat = ends.shape[1], ends.ravel()
+            starts = np.ones(flat.size + 1, dtype=bool)
+            np.not_equal(flat[1:], flat[:-1], out=starts[1:-1])
+            starts[::width] = True
+            bounds = np.flatnonzero(starts)
+            firsts = np.flatnonzero(bounds % width == 0).tolist()  # each row's first run
+            outcomes, bounds = flat[bounds[:-1]].tolist(), bounds.tolist()
+            unlike = np.ones(len(ends), dtype=bool)  # rows unlike the one before
+            np.any(ends[1:] != ends[:-1], axis=1, out=unlike[1:])
+            fresh, row_cells = np.flatnonzero(unlike).tolist(), []
+            for r, until in zip(fresh, fresh[1:] + [len(ends)]):
+                # the leading "" puts the row's "v1," text before its first cell
+                cells, base = [""], r * width
+                for k in range(firsts[r], firsts[r + 1]):
+                    u = outcomes[k]
+                    if cells_of[u] is None:
+                        cells_of[u] = [t + endings[u] for t in v2_texts]
+                    cells += cells_of[u][bounds[k] - base:bounds[k + 1] - base]
+                row_cells += [cells] * (until - r)
+            fh.write("".join([head.join(cells) for head, cells in zip(
+                ["%.9g," % v for v in v1_axis[at[0]].tolist()], row_cells)]))
     # a register's glyph by outcome is the hex digit of its code, or * where
     # cycled; about _CSV_CHUNK_ROWS glyphs a write
     lines = max(1, _CSV_CHUNK_ROWS // rows.shape[1])

@@ -263,6 +263,25 @@ class TestVerbs:
         peak(1.0)
         assert peak(0.01) - peak(0.02) < 4 * (701**2 - 351**2)
 
+    # a 1xN map keeps each v2 value (8 bytes) and its heatmap row (4 bytes:
+    # the cell and the row's end) for the whole run. The writer's texts for a
+    # span of v2 values live only while the span does, so they add no more
+    # than a few bytes per extra cell; a "%.9g," table of the whole axis grew
+    # 16 bytes per point, and cell texts of the whole axis would grow over 80
+    def test_map_long_axis_peak_memory_per_cell(self, tmp_path):
+        def peak(cells):
+            cfg = write_config(tmp_path, {
+                "sweep": {"v1": [0, 0, 1], "v2": [-1, 6, 7 / (cells - 1)]}})
+            with open(tmp_path / "heatmap.txt", "w") as heatmaps, \
+                    contextlib.redirect_stdout(heatmaps):
+                code, top = traced_peak(main, ["map", "--config", cfg,
+                                               "--out", str(tmp_path / "map.csv")])
+            assert code == 0
+            return top
+
+        peak(11)
+        assert peak(200001) - peak(100001) < (12 + 4) * 100000
+
     # -4: the zero-volt rows print 0, never -0; 1e12: the largest amplitude
     # a config takes prints finite voltages and currents
     @pytest.mark.parametrize("amplitude", [-4.0, 1e12])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import voltmem.cli
+import voltmem.config
 import voltmem.logic
 from voltmem.cli import main
 from voltmem.config import axis_points, header_lines, load_config
@@ -180,15 +181,10 @@ def test_relax_program_peak_memory_per_cell():
     assert peak < 100 * len(axis) ** 2
 
 
-def test_map_verb_bytes_match_oracle_text(tmp_path, capsys):
-    cfg = load_config(json.dumps(dict(MIXED, verb="map")))
-    v1s, v2s = axis_points(cfg.v1_axis), axis_points(cfg.v2_axis)
-    c = LogicCircuit(m1=cfg.device, m2=cfg.device, r_common=cfg.r_common,
-                     v_hold_level=cfg.v0)
+def _oracle_map_text(cfg, c, v1s, v2s):
+    """sweep_grid's results at circuit c over the axes, and the map verb's
+    `--out` bytes and heatmap text rendered from them cell by cell."""
     grid = sweep_grid(c, cfg.v3, v1s, v2s)
-    oscillating = sum(res.oscillated for row in grid for res in row)
-    assert 0 < oscillating < len(v1s) * len(v2s)
-
     rows = []
     for v1, row in zip(v1s, grid):
         for v2, res in zip(v2s, row):
@@ -205,21 +201,32 @@ def test_map_verb_bytes_match_oracle_text(tmp_path, capsys):
     heat = []
     for name in ("code_m1", "code_m2"):
         heat.append(f"{name[-2:].upper()} register gate map (rows: v2 "
-                    f"high->low, cols: v1 -1..6; glyph = hex gate code, "
-                    f"* = oscillating)")
+                    f"high->low, cols: v1 {v1s[0]:g}..{v1s[-1]:g}; glyph = "
+                    f"hex gate code, * = oscillating)")
         for j in reversed(range(len(v2s))):
             heat.append("".join(
                 "*" if grid[i][j].oscillated
                 else GLYPHS[getattr(grid[i][j], name)]
                 for i in range(len(v1s))))
         heat.append("")
+    return grid, csv.encode(), "\n".join(heat)
+
+
+def test_map_verb_bytes_match_oracle_text(tmp_path, capsys):
+    cfg = load_config(json.dumps(dict(MIXED, verb="map")))
+    v1s, v2s = axis_points(cfg.v1_axis), axis_points(cfg.v2_axis)
+    c = LogicCircuit(m1=cfg.device, m2=cfg.device, r_common=cfg.r_common,
+                     v_hold_level=cfg.v0)
+    grid, csv, heat = _oracle_map_text(cfg, c, v1s, v2s)
+    oscillating = sum(res.oscillated for row in grid for res in row)
+    assert 0 < oscillating < len(v1s) * len(v2s)
 
     config = tmp_path / "map.json"
     config.write_text(json.dumps(MIXED))
     out = tmp_path / "map.csv"
     assert main(["map", "--config", str(config), "--out", str(out)]) == 0
-    assert out.read_bytes() == csv.encode()
-    assert capsys.readouterr().out == "\n".join(heat)
+    assert out.read_bytes() == csv
+    assert capsys.readouterr().out == heat
 
 
 # map runs in blocks of whole v1 rows, about _CSV_CHUNK_ROWS cells each, or
@@ -236,11 +243,15 @@ def test_map_verb_bytes_match_oracle_text_in_blocks(tmp_path, capsys,
 
 
 @st.composite
-def decimal_axes(draw):
-    """A config axis of 1 to 12 decimal values, [lo, hi, step] in tenths,
-    realized as `map` realizes it."""
+def decimal_specs(draw):
+    """A config axis [lo, hi, step] of 1 to 12 decimal values, in tenths."""
     lo, step = draw(st.integers(-60, 60)) / 10, draw(st.integers(1, 10)) / 10
-    return axis_points((lo, lo + step * draw(st.integers(0, 11)), step))
+    return lo, lo + step * draw(st.integers(0, 11)), step
+
+
+def decimal_axes():
+    """decimal_specs' axes, realized as `map` realizes them."""
+    return decimal_specs().map(axis_points)
 
 
 def _run_gate_map(c, v1s, v2s, v3):
@@ -299,3 +310,36 @@ def test_gate_map_cuts_map_mixed_into_32_blocks():
                                    axis, axis, -1.9)
     assert [len(range(351)[at[0]]) for at, _ in blocks] == [11] * 31 + [10]
     assert (len(blocks), solves) == (32, 132)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(c=circuits(), v3=st.integers(-60, 60).map(lambda k: k / 10),
+       v1=decimal_specs(), v2=decimal_specs(),
+       chunk=st.sampled_from([1, 7, 16, 64, 4096]))
+def test_map_verb_bytes_match_oracle_text_on_any_grid(tmp_path, capsys, c, v3,
+                                                      v1, v2, chunk):
+    """The map verb's `--out` bytes and heatmaps are the per-cell rendering
+    of the scalar chain's results on 1xN, Nx1 and NxM grids, cut into blocks
+    of whole rows, one row or runs of one row's cells: rows that repeat,
+    rows of one cell and spans of v2 values that change between blocks. A
+    config builds one device for both registers, so the loaded circuit is
+    replaced by the drawn one, whose devices may differ."""
+    config = tmp_path / "map.json"
+    config.write_text(json.dumps({"sweep": {"v1": v1, "v2": v2, "v3": v3}}))
+    read_config = voltmem.config.read_config
+    cfg = read_config(str(config), verb="map")
+
+    def with_circuit(*args, **kwargs):
+        return read_config(*args, **kwargs)._replace(logic_circuit=c)
+
+    _, csv, heat = _oracle_map_text(cfg, c, axis_points(cfg.v1_axis),
+                                    axis_points(cfg.v2_axis))
+    out = tmp_path / "map.csv"
+    with mock.patch.object(voltmem.config, "read_config", with_circuit), \
+            mock.patch.object(voltmem.cli, "_CSV_CHUNK_ROWS", chunk), \
+            mock.patch.object(voltmem.logic, "_CSV_CHUNK_ROWS", chunk):
+        assert main(["map", "--config", str(config), "--out", str(out)]) == 0
+    assert out.read_bytes() == csv
+    assert capsys.readouterr().out == heat
