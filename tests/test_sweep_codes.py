@@ -245,8 +245,8 @@ def test_map_verb_bytes_match_oracle_text_in_blocks(tmp_path, capsys,
 @st.composite
 def decimal_specs(draw):
     """A config axis [lo, hi, step] of 1 to 12 decimal values, in tenths."""
-    lo, step = draw(st.integers(-60, 60)) / 10, draw(st.integers(1, 10)) / 10
-    return lo, lo + step * draw(st.integers(0, 11)), step
+    lo, step = draw(st.integers(-60, 60)), draw(st.integers(1, 10))
+    return lo / 10, (lo + step * draw(st.integers(0, 11))) / 10, step / 10
 
 
 def decimal_axes():
