@@ -9,28 +9,29 @@ on the transient's grid at dt = 1. At r1 = 0 the device sees the source
 exactly.
 
 A source is sampled by integer sample index k and step dt, never by a
-float time (SourceWaveform.value). A periodic source's phase is
-(k * dt_i mod period_i) / period_i in integers, dt_i and period_i being
-repr(dt) and repr(period) scaled by one power of ten, so each period
-repeats the same doubles and a sample on a period boundary is at phase 0;
-where those integers do not fit 2**53, the phase is frac(k * dt / period)
-in doubles. Without jitter, on a source whose levels repeat with a period
-of at most 2**14 samples (constant, or periodic on the exact grid), the
-switching condition of a state depends on the sample's level alone, so
-run_transient solves it once per level and finds each onset and break by
-lookup; every other run probes it in blocks through one 2**14-sample
-source window. Its Trace stores what it decides, the conduction state;
-every other column is formed per CSV chunk of 2048 rows. Everything after
-`t` in a row depends only on the row's source level (the phase index, the
-step in effect, or 0 for constant) and state. So where that (level, state)
-table is small against the trace and in bytes (_TABLE_SHARE, _TABLE_BYTES),
-Trace.to_csv formats through csv_words the endings of the pairs that the
-trace's runs of one state visit, and gathers each row's text from them.
-`t` = k * dt is then gathered too, on the exact decimal grid of
-repr(dt), from two small tables of its high and low digits (rows.t_tables,
-under the same two cutoffs); `_g9` formats it only in a chunk with rows
-below t = 1e-4, which print in exponent form, or where those tables do not
-apply. Every other trace is formatted per row by csv_rows (module `rows`).
+float time (SourceWaveform.value), on every finite grid by one rule: dt
+and the source's times are read as the decimals of their repr, scaled by
+one power of ten to integers (_scaled). A periodic source's phase is
+(k * dt_i mod period_i) / period_i, rounded once, so each period repeats
+the same doubles and a sample on a period boundary is at phase 0; a steps
+entry takes effect at the first sample k with k * dt_i >= its time_i.
+Without jitter, on a source whose levels repeat with a period of at most
+2**14 samples (constant, or periodic), the switching condition of a state
+depends on the sample's level alone, so run_transient solves it once per
+level and finds each onset and break by lookup; every other run probes it
+in blocks through one 2**14-sample source window. Its Trace stores what it
+decides, the conduction state; every other column is formed per CSV chunk
+of 2048 rows. Everything after `t` in a row depends only on the row's
+source level (a periodic source's residue k mod P, the step in effect, or
+0 for constant) and state. So where that (level, state) table is small
+against the trace and in bytes (_TABLE_SHARE, _TABLE_BYTES), Trace.to_csv
+formats through csv_words the endings of the pairs that the trace's runs
+of one state visit, and gathers each row's text from them. `t` = k * dt is
+then gathered too, on the exact decimal grid of repr(dt), from two small
+tables of its high and low digits (rows.t_tables, under the same two
+cutoffs); `_g9` formats it only in a chunk with rows below t = 1e-4, which
+print in exponent form, or where those tables do not apply. Every other
+trace is formatted per row by csv_rows (module `rows`).
 
 Only the `iv` and `transient` verbs load this module; ResolutionError, which
 run_transient raises, is defined in `device` and re-exported here.
@@ -69,6 +70,8 @@ _VISIT_ROWS = 1 << 16
 def _decimal(x: float):
     """(m, e) with m * 10**e the decimal that repr(x) writes, m not a
     multiple of 10 unless it is 0."""
+    if not math.isfinite(x):
+        raise ValueError(f"{x} is not a finite time")
     mantissa, _, exponent = repr(float(x)).partition("e")
     whole, _, fraction = mantissa.partition(".")
     m, e = int(whole + fraction), int(exponent or 0) - len(fraction)
@@ -77,20 +80,19 @@ def _decimal(x: float):
     return m, e
 
 
+def _scaled(*xs):
+    """The decimals that repr writes for each of `xs`, scaled by one power of
+    ten, the least that makes them all integers."""
+    decimals = [_decimal(x) for x in xs]
+    e = min(e for _, e in decimals)
+    return [m * 10 ** (e_x - e) for m, e_x in decimals]
+
+
 def _phase_grid(dt: float, period: float):
     """(a, P) such that sample k of step `dt` lies at phase (k * a mod P) / P
-    of `period`, exactly: dt and period, read as the decimals of their repr
-    and scaled by one power of ten to the least integers dt_i and period_i,
-    are a * g and P * g, g their gcd. Then j / P, of two integers below
-    2**53, is one correctly rounded division. None where either is not
-    finite or dt_i or period_i does not fit 2**53."""
-    if not (math.isfinite(dt) and math.isfinite(period)):
-        return None
-    (m_dt, e_dt), (m_period, e_period) = _decimal(dt), _decimal(period)
-    e = min(e_dt, e_period)
-    dt_i, period_i = m_dt * 10 ** (e_dt - e), m_period * 10 ** (e_period - e)
-    if max(dt_i, period_i) >= 2**53:
-        return None
+    of `period`, exactly: dt and period, as their integers dt_i and period_i
+    (_scaled), are a * g and P * g, g their gcd."""
+    dt_i, period_i = _scaled(dt, period)
     g = math.gcd(dt_i, period_i)
     return dt_i // g % (period_i // g), period_i // g
 
@@ -113,8 +115,9 @@ class SourceWaveform(_Checked, namedtuple("SourceWaveform", [
     def _check(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown waveform kind {self.kind!r}")
-        if self.kind in ("sawtooth", "triangle", "sine") and self.period <= 0:
-            raise ValueError(f"{self.kind} waveform needs period > 0")
+        if self.kind in ("sawtooth", "triangle", "sine") \
+                and not (math.isfinite(self.period) and self.period > 0):
+            raise ValueError(f"{self.kind} waveform needs a finite period > 0")
         if self.kind == "steps":
             times = [t for t, _ in self.steps]
             if any(b <= a for a, b in zip(times, times[1:])):
@@ -123,44 +126,43 @@ class SourceWaveform(_Checked, namedtuple("SourceWaveform", [
     def levels(self, dt: float):
         """This source on the sample grid of step `dt`, as (count, index, at):
         sample k is at level index(k) of `count`, and level j is at voltage
-        at(j). The level is 0 for constant, the entry in effect for steps
-        (0 before the first), and for a periodic source the phase index j of
-        phase j / P (see _phase_grid). None for a periodic source whose phase
-        is not exact on this grid."""
+        at(j). The level is 0 for constant; for steps, the entry in effect (0
+        before the first), entry i starting at the first k with k * dt >=
+        its time, both read as the decimals of their repr (_scaled); and for
+        a periodic source the residue j = k mod P, at phase (j * a mod P) / P
+        (_phase_grid). Where P < 2**53 and (P - 1) * a fits int64, both run
+        in numpy, the phase being two doubles divided once; elsewhere in
+        Python integers, whose int / int is correctly rounded too."""
         if self.kind == "constant":
             return (1, lambda k: np.zeros(np.shape(k), dtype=np.intp),
                     lambda j: np.full(np.shape(j), self.offset, dtype=float))
         if self.kind == "steps":
-            times = [time for time, _ in self.steps]
+            dt_i, *times = _scaled(dt, *(time for time, _ in self.steps))
+            if dt_i <= 0:
+                raise ValueError("a steps source needs a sample step dt > 0")
+            # ceil(time / dt) of the integers, within int64 for searchsorted
+            starts = np.array([min(max(-(-time // dt_i), 0), 2**63 - 1) for time in times],
+                              dtype=np.int64)
             levels = np.array([self.offset] + [val for _, val in self.steps], dtype=float)
-            return (len(levels), lambda k: np.searchsorted(times, k * dt, side="right"),
+            return (len(levels), lambda k: np.searchsorted(starts, k, side="right"),
                     levels.__getitem__)
-        grid = _phase_grid(dt, self.period)
-        if grid is None:
-            return None
-        a, count = grid
-        if a == 1:
-            index = lambda k: k % count
-        elif (count - 1) * a < 2**63:
-            index = lambda k: k % count * a % count
-        else:  # the product would overflow int64: in Python integers
-            index = lambda k: np.asarray(np.asarray(k % count).astype(object) * a % count,
-                                         dtype=np.int64)
-        return count, index, lambda j: self._at(j / count)
+        a, count = _phase_grid(dt, self.period)
+        if count < 2**53 and (count - 1) * a < 2**63:
+            return count, lambda k: k % count, lambda j: self._at(j * a % count / count)
+
+        def at(j):  # in Python integers, in place: one array of products at a time
+            x = np.array(j, dtype=object)
+            np.multiply(x, a, out=x)
+            np.remainder(x, count, out=x)
+            return self._at(np.true_divide(x, count, out=x).astype(float))
+
+        return count, lambda k: np.asarray(k, dtype=object) % count, at
 
     def value(self, k, dt: float):
         """Source voltage at sample `k` (an integer or an integer array) of the
-        grid of step `dt`, that is at time k * dt: the voltage of its level.
-        A periodic source whose phase is not exact on the grid is sampled at
-        the phase frac(k * dt / period) in doubles."""
-        k = np.asarray(k)
-        levels = self.levels(dt)
-        if levels is None:
-            frac = k * dt / self.period
-            frac -= np.floor(frac)  # the same doubles as % 1.0, at a tenth of its cost
-            return self._at(frac)[()]
-        _, index, at = levels
-        return at(index(k))[()]
+        grid of step `dt`, that is at time k * dt: the voltage of its level."""
+        _, index, at = self.levels(dt)
+        return at(index(np.asarray(k)))[()]
 
     def _at(self, frac):
         """A periodic source's voltage at phase `frac`, in [0, 1)."""
@@ -205,14 +207,12 @@ class Trace:
 
         names = "t,v_applied,v_device,v_out,conducting,current"
         fh.write(names + ("" if digitize is None else ",logic") + "\n")
-        levels, table = source.levels(self.dt), None
+        (count, index, at), table = source.levels(self.dt), None
         # a suffix at its widest, in whole words: 4 float fields (5 with logic)
         # of at most 16 characters ("-1.23456789e-100"), the state's digit,
         # and a separator after each
         widest = (17 * (4 + (digitize is not None)) + 2 + 7) // 8 * 8
-        if levels is not None and 2 * levels[0] * _TABLE_SHARE <= len(self) \
-                and 2 * levels[0] * widest <= _TABLE_BYTES:
-            count, index, at = levels
+        if 2 * count * _TABLE_SHARE <= len(self) and 2 * count * widest <= _TABLE_BYTES:
             keys = _visited(self.conducting, count, index, source.kind != "steps")
             table, bad = _suffix_table(count, keys, at, r1, device, digitize, widest // 8)
             # t's texts, one word each, under the same cutoffs
@@ -226,7 +226,7 @@ class Trace:
             k = np.arange(start, min(start + rows, len(self)))
             on = self.conducting[start:start + len(k)]
             if table is None:
-                cols = _suffix_columns(source.value(k, self.dt), on, r1, device, digitize)
+                cols = _suffix_columns(at(index(k)), on, r1, device, digitize)
                 hit = ~np.isfinite(cols[1])
                 if hit.any():
                     raise _non_finite(cols[1][hit.argmax()])
@@ -261,13 +261,12 @@ def _non_finite(v_device) -> ValueError:
 
 def _visited(conducting, count: int, index, periodic: bool):
     """The keys 2 * level + state that the rows of `conducting` use, found
-    from its runs of one state rather than row by row, in the order of
-    their residues or levels. A run of rows [a, b) covers the cyclic
-    residues a % count .. (b - 1) % count of a periodic level index (all of
-    them where b - a >= count), at levels index(residue); under a steps
-    index, which never falls, it covers the levels index(a) .. index(b - 1),
-    every level between the two included (all of them used unless two step
-    times fall within one step)."""
+    from its runs of one state rather than row by row, in level order. A
+    run of rows [a, b) covers the levels index(a) .. index(b - 1): cyclic
+    under a periodic index, the residue k % count (all of them where
+    b - a >= count); under a steps index, which never falls, every level
+    between the two (all of them used unless two step times fall within
+    one step)."""
     # each run marks its span [lo, hi) of its state's 2 * count positions;
     # one that wraps past a period ends in the second count. The runs are
     # cut at blocks of _VISIT_ROWS rows, so that no temporary grows with
@@ -278,20 +277,14 @@ def _visited(conducting, count: int, index, periodic: bool):
         a = np.flatnonzero(on[1:] != on[:-1]) + 1
         b = np.append(a, len(on)) + start
         a = np.insert(a, 0, 0) + start
-        if periodic:
-            lo = a % count
-            hi = lo + np.minimum(b - a, count)
-        else:
-            lo, hi = index(a), index(b - 1) + 1
+        lo = index(a)
+        hi = lo + np.minimum(b - a, count) if periodic else index(b - 1) + 1
         row = on[a - start] * (2 * count)  # each run's state's half of marks
         marks += np.bincount(row + lo, minlength=4 * count)
         marks -= np.bincount(row + hi, minlength=4 * count)
     covered = np.cumsum(marks.reshape(2, 2 * count), axis=1) > 0
-    # 2 * residue + state, where a state covers the residue; not sorted by
-    # level, as the table needs no order (numpy's sort code, which no other
-    # step of a transient runs, raised its peak RSS by 0.2 MB)
-    key = np.flatnonzero((covered[:, :count] | covered[:, count:]).T)
-    return 2 * index(key // 2) + key % 2 if periodic else key
+    # 2 * level + state, where a state covers the level
+    return np.flatnonzero((covered[:, :count] | covered[:, count:]).T)
 
 
 def _suffix_table(count: int, keys, at, r1: float, device: DeviceParams, digitize,
@@ -387,16 +380,15 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
     state of the samples it has passed.
 
     Without jitter, on a source whose level index repeats with period
-    count <= _SCAN_ROWS (constant, or periodic on the exact phase grid; see
-    SourceWaveform.levels), a sample's condition in a state depends on its
-    residue k % count alone. So each state's condition is solved once over
-    the residues, and the onset and the break are each one searchsorted in
-    that state's sorted holding or failing residues (_lookup). Every other
-    run (jitter, a steps source, a phase off the exact grid, or more than
-    _SCAN_ROWS levels) probes the condition in blocks of samples (_probe,
-    _first): no read starts before the last one, so the source is sampled
-    in a forward window, and `device.jitter_pairs` keeps no pair from
-    before the current block.
+    count <= _SCAN_ROWS (constant, or periodic; see SourceWaveform.levels),
+    a sample's condition in a state depends on its residue k % count alone.
+    So each state's condition is solved once over the residues, and the
+    onset and the break are each one searchsorted in that state's sorted
+    holding or failing residues (_lookup). Every other run (jitter, a steps
+    source, or more than _SCAN_ROWS levels) probes the condition in blocks
+    of samples (_probe, _first): no read starts before the last one, so the
+    source is sampled in a forward window, and `device.jitter_pairs` keeps
+    no pair from before the current block.
     """
     if r1 < 0:
         raise ValueError("r1 must be >= 0")
@@ -414,8 +406,7 @@ def run_transient(r1: float, device: DeviceParams, source: SourceWaveform,
     while not elapsed >= device.t_actuate and hold <= n:
         hold, elapsed = hold + 1, elapsed + dt
     levels = source.levels(dt)
-    if device.jitter_sigma == 0 and source.kind != "steps" and levels is not None \
-            and levels[0] <= _SCAN_ROWS:
+    if device.jitter_sigma == 0 and source.kind != "steps" and levels[0] <= _SCAN_ROWS:
         onset, broken = _lookup(r1, device, dt, n, *levels)
     else:
         onset, broken = _probe(r1, device, source, dt, n, seed)

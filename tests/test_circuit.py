@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from voltmem.circuit import (ResolutionError, SourceWaveform, _phase_grid, run_transient,
+from voltmem.circuit import (ResolutionError, SourceWaveform, _scaled, run_transient,
                              solve_series_divider)
 from voltmem.device import EmulatorParams, derive_device_params
 
@@ -101,6 +101,21 @@ class TestWaveforms:
         assert w.value(3, 0.5) == 2.0
         assert w.value(20, 0.5) == 3.0
 
+    # its samples would not reach a step's time in order
+    @pytest.mark.parametrize("dt", [0.0, -1e-6])
+    def test_steps_need_a_positive_sample_step(self, dt):
+        w = SourceWaveform(kind="steps", steps=((1.0, 2.0),))
+        with pytest.raises(ValueError, match="dt > 0"):
+            w.value(3, dt)
+
+    # no grid of samples has a non-finite step
+    @pytest.mark.parametrize("kind", SourceWaveform._KINDS[1:])
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    def test_sampling_needs_a_finite_step(self, kind, dt):
+        w = SourceWaveform(kind, amplitude=1.0, period=1.0, steps=((1.0, 2.0),))
+        with pytest.raises(ValueError, match="not a finite time"):
+            w.value(3, dt)
+
     def test_step_times_must_increase(self):
         with pytest.raises(ValueError):
             SourceWaveform(kind="steps", steps=((2.0, 1.0), (1.0, 0.0)))
@@ -109,33 +124,24 @@ class TestWaveforms:
         with pytest.raises(ValueError):
             SourceWaveform(kind="sine", amplitude=1.0)
 
+    # a config cannot give one, but the Python API can: an infinite period
+    # has no decimal grid, and a NaN one compares false with 0
+    @pytest.mark.parametrize("kind", ["sawtooth", "triangle", "sine"])
+    @pytest.mark.parametrize("period", [math.inf, math.nan])
+    def test_periodic_needs_finite_period(self, kind, period):
+        with pytest.raises(ValueError, match="finite period"):
+            SourceWaveform(kind, amplitude=1.0, period=period)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             SourceWaveform(kind="squarewave")
 
 
-def decimal_exponent(x: Fraction) -> int:
-    """The largest e for which x / 10**e is an integer (x > 0)."""
-    e = 0
-    while (x / Fraction(10) ** e).denominator != 1:
-        e -= 1
-    while (x / Fraction(10) ** (e + 1)).denominator == 1:
-        e += 1
-    return e
-
-
 def reference_phase(k: int, dt: float, period: float) -> float:
     """Reference: the phase of sample k, (k * dt mod period) / period of the
-    decimals that repr writes, rounded once, where both are integers below
-    2**53 at their least common power of ten; elsewhere the doubles of
-    frac(k * dt / period)."""
-    exact = [Fraction(repr(x)) for x in (dt, period)]
-    scale = Fraction(10) ** min(map(decimal_exponent, exact))
-    dt_i, period_i = (x / scale for x in exact)
-    if max(dt_i, period_i) < 2**53:
-        return float(k * dt_i % period_i / period_i)
-    x = k * dt / period
-    return x - math.floor(x)
+    decimals that repr writes, rounded once."""
+    dt, period = Fraction(repr(dt)), Fraction(repr(period))
+    return float(k * dt % period / period)
 
 
 def scalar_waveform(w, k, dt):
@@ -145,7 +151,7 @@ def scalar_waveform(w, k, dt):
     if w.kind == "steps":
         v = w.offset
         for time, val in w.steps:
-            if k * dt < time:
+            if k * Fraction(repr(dt)) < Fraction(repr(time)):
                 break
             v = val
         return v
@@ -200,7 +206,7 @@ def test_waveform_array_matches_scalar_reference(case):
 
 
 # periods whose least integer at the common power of ten lies on either side
-# of 2**53; at dt = 4097 the phase index's product overflows int64
+# of 2**53; at dt = 4097 the phase's product (k mod P) * a overflows int64
 NEAR_2_53 = st.integers(2**53 - 3, 2**53 + 3).map(float)
 
 
@@ -217,12 +223,36 @@ def test_phase_matches_fraction(dt, period, k):
     assert got == [reference_phase(x, dt, period) for x in k]
 
 
-@pytest.mark.parametrize("dt, period, exact", [
+# grids on either side of 2**53, by whether the integers dt_i and period_i
+# of their repr fit it (`below`): the phase is exact on both, through
+# products past int64 and up to 1e300 phases
+@pytest.mark.parametrize("dt, period, below", [
     (1.0, float(2**53 - 1), True), (1.0, float(2**53), False),
     (0.5, float(2**53 - 1), False), (1e-5, 0.05, True), (1e-5, 1 / 3, True),
-    (1e-5, 1 / 7, False), (1.0, 1e300, False), (1e-300, 1.0, False), (0.1, 1e14, True)])
-def test_phase_is_exact_below_2_53(dt, period, exact):
-    assert (_phase_grid(dt, period) is not None) == exact
+    (1e-5, 1 / 7, False), (1.0, 1e300, False), (1e-300, 1.0, False), (0.1, 1e14, True),
+    (1e-12, 1e12, False)])
+def test_phase_is_exact_below_2_53(dt, period, below):
+    assert (max(_scaled(dt, period)) < 2**53) == below
+    w = SourceWaveform("sawtooth", amplitude=1.0, period=period)
+    k = [0, 1, 7, 2**31 + 7, 2**53 - 1, 2**62 + 11]
+    assert w.value(np.array(k), dt).tolist() == [reference_phase(x, dt, period) for x in k]
+    assert [w.value(x, dt) for x in k] == [reference_phase(x, dt, period) for x in k]
+
+
+# a step's time and the sample's are compared as the decimals of their repr:
+# k * dt in doubles put 5784 of the 19999 times K us at dt = 1e-6 one sample
+# late, among them 5e-6 (5 * 1e-6 is 5.000000000000001e-06)
+@settings(max_examples=200, deadline=None)
+@given(dt=st.sampled_from([1e-6, 2.5e-7]),
+       ks=st.lists(st.integers(1, 10**7), min_size=1, max_size=5, unique=True))
+@example(dt=1e-6, ks=[5])
+def test_step_on_the_grid_takes_effect_at_its_sample(dt, ks):
+    # step i, at time ks[i] * dt, is at level i; before the first, at -1
+    ks = sorted(ks)
+    w = SourceWaveform("steps", offset=-1.0, steps=tuple(
+        (float(k * Fraction(repr(dt))), float(i)) for i, k in enumerate(ks)))
+    got = w.value(np.array([k - 1 for k in ks] + ks), dt).tolist()
+    assert got == [i - 1.0 for i in range(len(ks))] + [float(i) for i in range(len(ks))]
 
 
 def test_sample_on_a_period_boundary_is_at_phase_0():

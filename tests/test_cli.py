@@ -755,6 +755,16 @@ def test_default_sawtooth_is_0_v_at_t_0_15(tmp_path):
     assert rows[1500][:4] == ["0.15", "0", "0", "0"]
 
 
+# a step takes effect at the first sample whose time, as the decimal of its
+# repr, reaches the step's; comparing 5 * 1e-6 (5.000000000000001e-06 in
+# doubles) with 5e-6 put it one sample late
+def test_step_at_5_us_is_in_the_row_at_5_us(tmp_path):
+    rows = transient_rows(tmp_path, {
+        "device": {"t_actuate": 1e-5}, "circuit": {"dt": 1e-6, "t_end": 1e-5},
+        "source": {"kind": "steps", "steps": [[5e-6, 5.0]]}})
+    assert [row[:2] for row in rows[4:7]] == [["4e-06", "0"], ["5e-06", "5"], ["6e-06", "5"]]
+
+
 def test_sweep_rows_on_period_boundaries_are_0_v(tmp_path):
     rows = transient_rows(tmp_path, {"circuit": {"dt": 1e-5, "t_end": 2}})
     assert len(rows) == 200001
